@@ -67,8 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--epoch-window", type=float, default=None,
                        metavar="T",
                        help="conservative epoch width in virtual time for "
-                            "--backend parallel (default: run each epoch "
-                            "to local quiescence)")
+                            "--backend parallel (default: end each epoch "
+                            "at local quiescence or after a fixed number "
+                            "of reductions)")
     run_p.add_argument("--max-reductions", type=int, default=5_000_000)
     run_p.add_argument("--service", action="append", default=[],
                        metavar="NAME/ARITY",

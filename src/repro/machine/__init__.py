@@ -3,7 +3,13 @@ metrics, and the :class:`~repro.machine.simulator.Machine` the Strand engine
 runs on."""
 
 from repro.machine.faults import FaultPlan, FaultStats, Partition
-from repro.machine.metrics import MachineMetrics, coefficient_of_variation, imbalance, jain_fairness
+from repro.machine.metrics import (
+    EpochTelemetry,
+    MachineMetrics,
+    coefficient_of_variation,
+    imbalance,
+    jain_fairness,
+)
 from repro.machine.network import Network
 from repro.machine.processor import VirtualProcessor
 from repro.machine.simulator import Machine
@@ -33,6 +39,7 @@ from repro.machine.tracefile import (
 __all__ = [
     "Machine",
     "MachineMetrics",
+    "EpochTelemetry",
     "FaultPlan",
     "FaultStats",
     "Partition",

@@ -10,11 +10,20 @@ balance, E3), message and hop counts (E5), and watched-task high-water marks
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.machine.processor import VirtualProcessor
 
-__all__ = ["MachineMetrics", "imbalance", "jain_fairness", "coefficient_of_variation"]
+__all__ = [
+    "MachineMetrics",
+    "EpochTelemetry",
+    "imbalance",
+    "jain_fairness",
+    "coefficient_of_variation",
+]
+
+#: Kinds of cross-shard wire message the parallel backend routes.
+WIRE_KINDS = ("spawn", "bind", "psend", "pclose")
 
 
 def imbalance(loads: list[float]) -> float:
@@ -46,6 +55,35 @@ def coefficient_of_variation(loads: list[float]) -> float:
         return 0.0
     var = sum((x - mean) ** 2 for x in loads) / len(loads)
     return math.sqrt(var) / mean
+
+
+@dataclass
+class EpochTelemetry:
+    """What the parallel backend's epoch protocol did during one run.
+
+    ``epochs`` counts barrier rounds in which workers drained,
+    ``worker_epochs`` sums the active workers over those rounds (so
+    ``worker_epochs > epochs`` means some round ran workers side by side),
+    and ``wire`` counts routed messages by kind.  These are deterministic
+    for a given seed and worker count.  ``busy_s`` holds, per round, each
+    worker's wall-clock seconds spent applying its inbox and draining
+    (``None`` for a worker that sat the round out); it varies from run to
+    run, so equality never compares it.
+    """
+
+    epochs: int = 0
+    worker_epochs: int = 0
+    wire: dict[str, int] = field(default_factory=lambda: dict.fromkeys(WIRE_KINDS, 0))
+    busy_s: list[tuple[float | None, ...]] = field(
+        default_factory=list, compare=False, repr=False
+    )
+
+    def summary(self) -> str:
+        wire = ", ".join(f"{kind}={count}" for kind, count in self.wire.items())
+        return (
+            f"epochs={self.epochs} worker_epochs={self.worker_epochs} "
+            f"wire({wire})"
+        )
 
 
 @dataclass
@@ -90,6 +128,8 @@ class MachineMetrics:
     # Events the Trace dropped past its limit — nonzero means every
     # trace-derived figure is a lower bound.
     trace_dropped: int = 0
+    # Epoch-protocol telemetry; only parallel-backend runs carry it.
+    parallel: EpochTelemetry | None = None
 
     @classmethod
     def from_processors(
@@ -234,4 +274,6 @@ class MachineMetrics:
             )
         if self.trace_dropped:
             text += f" trace_dropped={self.trace_dropped} (trace truncated)"
+        if self.parallel is not None:
+            text += f" {self.parallel.summary()}"
         return text

@@ -57,11 +57,12 @@ class Machine:
         ``min(processors, os.cpu_count())``); ignored otherwise.
     epoch_window:
         Optional conservative time-window width for the parallel backend.
-        ``None`` (default) runs each epoch to local quiescence — exact for
-        confluent programs and far fewer barriers; a positive float bounds
-        every epoch to that much virtual time, which keeps cross-shard
-        message delivery causally ordered even for time-racy programs when
-        the window is at most the minimum cross-processor latency.
+        ``None`` (default) ends each epoch at local quiescence or after a
+        fixed number of reductions — exact for confluent programs and far
+        fewer barriers; a positive float also bounds every epoch to that
+        much virtual time, which keeps cross-shard message delivery
+        causally ordered even for time-racy programs when the window is at
+        most the minimum cross-processor latency.
     """
 
     def __init__(

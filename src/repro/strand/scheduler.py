@@ -232,7 +232,8 @@ class Scheduler:
                 best = t
         return best
 
-    def drain(self, execute: Callable, horizon: float | None = None) -> float | None:
+    def drain(self, execute: Callable, horizon: float | None = None,
+              floor: int = 0) -> float | None:
         """Process timers and events in virtual-time order.
 
         With ``horizon=None`` (sequential operation) the loop runs until
@@ -241,6 +242,13 @@ class Scheduler:
         place and the earliest such pending time is returned — the caller
         barriers there, exchanges cross-shard messages, and resumes with a
         later horizon.  Returns ``None`` once nothing is pending.
+
+        ``floor`` is a pause point on the reduction budget: the attempt
+        that would take ``reduction_budget`` below it is not made.  Its
+        process goes back on its queue and its processor's event marker is
+        re-armed unchanged, so a later ``drain`` resumes exactly there; the
+        marker's time is returned.  The default floor of 0 never pauses —
+        going below it is budget exhaustion, which raises.
         """
         machine = self.machine
         procs = machine.procs
@@ -259,7 +267,7 @@ class Scheduler:
             time = events[0][0]
             if horizon is not None and time >= horizon:
                 return time
-            time, _, pnum = heappop(events)
+            time, eseq, pnum = heappop(events)
             if event_time[pnum - 1] != time:
                 continue  # stale duplicate marker
             event_time[pnum - 1] = None
@@ -273,16 +281,24 @@ class Scheduler:
             if actual > time:
                 self.schedule(pnum, actual)
                 continue
-            _, _, process = heappop(queue)
+            ready, pseq, process = heappop(queue)
             if process.state != RUNNABLE:
                 self.schedule_from_queue(pnum)
                 continue
             self.reduction_budget -= 1
-            if self.reduction_budget < 0:
-                raise StrandError(
-                    f"reduction budget of {self.max_reductions} exhausted "
-                    f"(possible runaway recursion)"
-                )
+            if self.reduction_budget < floor:
+                if self.reduction_budget < 0:
+                    raise StrandError(
+                        f"reduction budget of {self.max_reductions} exhausted "
+                        f"(possible runaway recursion)"
+                    )
+                # Pause: undo the pop and the decrement, leaving both heaps
+                # exactly as they were before this iteration.
+                self.reduction_budget += 1
+                heappush(queue, (ready, pseq, process))
+                event_time[pnum - 1] = time
+                heappush(events, (time, eseq, pnum))
+                return time
             cost = execute(process, actual)
             if cost is None:
                 self.schedule_from_queue(pnum)

@@ -1,18 +1,21 @@
-"""Scheduler-half regression tests: deadlock reporting and quiescence.
+"""Scheduler-half regression tests: deadlock reporting, quiescence and the
+drain loop's pause point.
 
 The deadlock report must be *deterministic* (sorted by processor, then
 spawn sequence — not by dict iteration order over process ids) and must say
 which variables each stuck process is waiting on.  Port auto-close on
-service quiescence must fire exactly once per run.
+service quiescence must fire exactly once per run.  A drain paused on a
+reduction floor must resume exactly where it stopped.
 """
 
 import pytest
 
-from repro.errors import DeadlockError
+from repro.errors import DeadlockError, StrandError
 from repro.machine.simulator import Machine
 from repro.strand import parse_program, run_query
 from repro.strand.engine import StrandEngine
-from repro.strand.parser import parse_term
+from repro.strand.parser import parse_query, parse_term
+from repro.strand.terms import deref
 
 WAIT = "wait(X, Out) :- known(X) | Out := done.\n"
 
@@ -100,3 +103,58 @@ class TestQuiescenceCounter:
         # The stuck service and its stream variable are reported.
         assert "loop(" in str(err.value)
         assert "waiting on" in str(err.value)
+
+
+class TestPausePoint:
+    """``drain(..., floor=F)`` stops before the attempt that would take the
+    reduction budget below ``F``; the next drain carries on as if the loop
+    had never stopped."""
+
+    PIPE = """
+    go(N, Out) :- gen(N, Xs) @ 2, total(Xs, 0, Out) @ 3.
+    gen(0, Xs) :- Xs := [].
+    gen(N, Xs) :- N > 0 | Xs := [N | Xs1], N1 := N - 1, gen(N1, Xs1).
+    total([], Acc, Out) :- Out := Acc.
+    total([X | Xs], Acc, Out) :- Acc1 := Acc + X, total(Xs, Acc1, Out).
+    """
+
+    def engine(self, **options):
+        engine = StrandEngine(parse_program(self.PIPE),
+                              machine=Machine(3, trace=True), **options)
+        goals, varmap = parse_query("go(40, Out)")
+        for goal in goals:
+            engine.spawn(goal, proc=1, ready=0.0)
+        return engine, varmap
+
+    def test_sliced_drain_replays_uninterrupted_run(self):
+        whole, whole_vars = self.engine()
+        whole.run()
+
+        sliced, sliced_vars = self.engine()
+        scheduler = sliced.scheduler
+        pauses = []
+        while True:
+            before = scheduler.reduction_budget
+            floor = max(0, before - 37)
+            paused_at = scheduler.drain(sliced.reducer.execute, None, floor)
+            if paused_at is None:
+                break
+            assert scheduler.reduction_budget == floor
+            pauses.append(paused_at)
+
+        assert len(pauses) > 3
+        assert deref(sliced_vars["Out"]) == deref(whole_vars["Out"]) == 820
+        assert sliced.machine.metrics() == whole.machine.metrics()
+        assert ([(e.time, e.proc, e.kind, e.eid, e.cause)
+                 for e in sliced.machine.trace.events]
+                == [(e.time, e.proc, e.kind, e.eid, e.cause)
+                    for e in whole.machine.trace.events])
+
+    def test_exhaustion_still_raises_under_a_floor(self):
+        engine, _ = self.engine(max_reductions=50)
+        scheduler = engine.scheduler
+        assert scheduler.drain(engine.reducer.execute, None, 20) is not None
+        assert scheduler.reduction_budget == 20
+        with pytest.raises(StrandError,
+                           match="reduction budget of 50 exhausted"):
+            scheduler.drain(engine.reducer.execute, None, 0)
