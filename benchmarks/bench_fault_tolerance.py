@@ -8,9 +8,9 @@ result, and *fails* when the run deadlocks (e.g. the monitor channel was
 severed before supervision could start).  Recovery overhead is the
 makespan ratio against the fault-free run on the same seed.
 
-Results go to ``benchmarks/BENCH_fault_tolerance.json``.  Run standalone
-with ``python benchmarks/bench_fault_tolerance.py [--smoke]`` or under
-pytest with the rest of the benchmark suite.
+Run standalone with ``python benchmarks/bench_fault_tolerance.py
+[--smoke]`` or under pytest with the rest of the benchmark suite.  Only the
+full configuration rewrites ``benchmarks/BENCH_fault_tolerance.json``.
 """
 
 from __future__ import annotations
@@ -125,7 +125,6 @@ def render(payload: dict) -> str:
 
 def run_bench(config) -> dict:
     payload = sweep(config)
-    JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     # Invariants the sweep must uphold regardless of scale: the fault-free
     # column is perfect, and every fault-free run is makespan-baseline 1.0.
@@ -151,4 +150,6 @@ if __name__ == "__main__":
     args = parser.parse_args()
     payload = run_bench(SMOKE if args.smoke else FULL)
     print(render(payload))
-    print(f"\nwrote {JSON_PATH}")
+    if not args.smoke:
+        JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"\nwrote {JSON_PATH}")

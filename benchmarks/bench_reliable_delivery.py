@@ -19,9 +19,9 @@ cost (retransmissions).  The Reliable column can itself fall short of
 are unprotected (see ``docs/MOTIFS.md``) — the JSON reports that
 honestly rather than cherry-picking seeds.
 
-Results go to ``benchmarks/BENCH_reliable_delivery.json``.  Run
-standalone with ``python benchmarks/bench_reliable_delivery.py
-[--smoke]`` or under pytest with the rest of the benchmark suite.
+Run standalone with ``python benchmarks/bench_reliable_delivery.py
+[--smoke]`` or under pytest with the rest of the benchmark suite.  Only the
+full configuration rewrites ``benchmarks/BENCH_reliable_delivery.json``.
 """
 
 from __future__ import annotations
@@ -185,7 +185,6 @@ def render(payload: dict) -> str:
 
 def run_bench(config) -> dict:
     payload = sweep(config)
-    JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     # Invariants regardless of scale: fault-free rows are perfect in both
     # modes, and Reliable never delivers less often than bare.
@@ -220,4 +219,6 @@ if __name__ == "__main__":
     args = parser.parse_args()
     payload = run_bench(SMOKE if args.smoke else FULL)
     print(render(payload))
-    print(f"\nwrote {JSON_PATH}")
+    if not args.smoke:
+        JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"\nwrote {JSON_PATH}")

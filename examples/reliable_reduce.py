@@ -31,6 +31,7 @@ from repro import reliable_reduce_tree
 from repro.analysis import Table
 from repro.apps.arithmetic import arithmetic_tree, eval_arith_node
 from repro.machine import FaultPlan, Machine, Partition
+from repro.motifs.reliable import reliable_state
 
 PROCESSORS = 4
 
@@ -66,8 +67,9 @@ def main() -> None:
             m.rel_retransmits, m.rel_acks,
             m.rel_duplicates_suppressed, m.rel_unreachable,
         )
-        if result.engine.rel_state.unreachable:
-            nodes = sorted({n for _, n, _ in result.engine.rel_state.unreachable})
+        unreachable = reliable_state(result.engine).unreachable
+        if unreachable:
+            nodes = sorted({n for _, n, _ in unreachable})
             print(f"  [{label}] destinations reported unreachable: "
                   f"{', '.join(f'p{n}' for n in nodes)}")
         if baseline is None:

@@ -17,6 +17,7 @@ model.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterable
@@ -25,6 +26,8 @@ from repro.core.motif import AppliedMotif, Motif, library_from_source
 from repro.errors import ReproError
 from repro.machine.metrics import MachineMetrics
 from repro.machine.simulator import Machine
+from repro.motifs.reliable import reliable_tree_reduce
+from repro.motifs.supervisor import supervised_tree_reduce
 from repro.motifs.tree_reduce1 import (
     sequential_tree_motif,
     static_tree_motif,
@@ -63,7 +66,7 @@ class RunResult:
 
 
 # Motif stacks are stateless apart from their application memo, so one
-# instance per parameterization lets repeated ``reduce_tree`` calls share
+# instance per parameterization lets repeated ``*reduce_tree`` calls share
 # parsed libraries, applied programs, and (transitively) compiled programs.
 #
 # The caches are *bounded*: each cached stack pins its applied programs and
@@ -71,57 +74,14 @@ class RunResult:
 # notebook sweeping parameters, a benchmark harness) grows without limit.
 # The bounds are sized generously above any realistic number of concurrent
 # parameterizations — eviction only re-pays one stack construction.
-_STACK_CACHE_SIZE = 32  # distinct (server_library, …) parameterizations
+_STACK_CACHE_SIZE = 32  # distinct (factory, parameters) stacks
 _APPLICATION_CACHE_SIZE = 256  # distinct application names
 
 
 @lru_cache(maxsize=_STACK_CACHE_SIZE)
-def _tr1_stack(server_library: str, termination: bool) -> Motif:
-    return tree_reduce_1(server_library=server_library, termination=termination)
-
-
-@lru_cache(maxsize=_STACK_CACHE_SIZE)
-def _tr2_stack(server_library: str) -> Motif:
-    return tree_reduce_2(server_library=server_library)
-
-
-@lru_cache(maxsize=_STACK_CACHE_SIZE)
-def _static_stack() -> Motif:
-    return static_tree_motif()
-
-
-@lru_cache(maxsize=_STACK_CACHE_SIZE)
-def _sequential_stack() -> Motif:
-    return sequential_tree_motif()
-
-
-@lru_cache(maxsize=_STACK_CACHE_SIZE)
-def _supervised_stack(
-    retries: int, timeout: float, backoff: int, fallback: str,
-    server_library: str,
-) -> Motif:
-    from repro.motifs.supervisor import supervised_tree_reduce
-
-    return supervised_tree_reduce(
-        retries=retries, timeout=timeout, backoff=backoff,
-        fallback=fallback, server_library=server_library,
-    )
-
-
-@lru_cache(maxsize=_STACK_CACHE_SIZE)
-def _reliable_stack(
-    retries: int, timeout: float, backoff: int, max_timeout: float,
-    supervise: bool, sup_retries: int, sup_timeout: float,
-    fallback: str, server_library: str,
-) -> Motif:
-    from repro.motifs.reliable import reliable_tree_reduce
-
-    return reliable_tree_reduce(
-        retries=retries, timeout=timeout, backoff=backoff,
-        max_timeout=max_timeout, supervise=supervise,
-        sup_retries=sup_retries, sup_timeout=sup_timeout,
-        fallback=fallback, server_library=server_library,
-    )
+def _stack(factory: Callable[..., Motif], **params: Any) -> Motif:
+    """The shared motif stack ``factory(**params)``."""
+    return factory(**params)
 
 
 @lru_cache(maxsize=_APPLICATION_CACHE_SIZE)
@@ -186,6 +146,43 @@ def run_applied(
     return engine, metrics
 
 
+def _create(machine: Machine, entry: str, *args: Term) -> Struct:
+    """``create(P, entry(args…))`` — boot the servers, then send the entry
+    message."""
+    return Struct("create", (machine.size, Struct(entry, args)))
+
+
+def _run_tree(
+    tree: trees.Tree,
+    evaluator: str | Callable | Program,
+    machine: Machine,
+    motif: Motif,
+    goal: Callable[[Var], Term],
+    failure: str,
+    eval_cost: float | Callable[..., float],
+    **run_options: Any,
+) -> RunResult:
+    """The runner behind every ``*reduce_tree`` entry point: run ``goal``
+    (given the result variable) under ``motif`` and return the bound
+    result, or raise ``failure`` if the run ends with it unbound."""
+    application, setup = as_application(evaluator, cost=eval_cost)
+    # Single-leaf trees have no evaluations; answer directly but uniformly.
+    if isinstance(tree, trees.Leaf):
+        applied = AppliedMotif(program=application)
+        engine = StrandEngine(application, machine=machine)
+        return RunResult(tree.value, machine.metrics(), {}, engine, applied)
+    applied = motif.apply(application)
+    if setup is not None:
+        applied.foreign_setup.append(setup)
+        applied.user_names.add("eval")
+    value_var = Var("Value")
+    engine, metrics = run_applied(applied, goal(value_var), machine, **run_options)
+    value = deref(value_var)
+    if type(value) is Var:
+        raise ReproError(failure)
+    return RunResult(to_python(value), metrics, {"Value": value_var}, engine, applied)
+
+
 def reduce_tree(
     tree: trees.Tree,
     evaluator: str | Callable | Program,
@@ -232,60 +229,36 @@ def reduce_tree(
             workers=workers if backend == "parallel" else None,
             epoch_window=epoch_window,
         )
-    application, setup = as_application(evaluator, cost=eval_cost)
-
-    # Single-leaf trees have no evaluations; answer directly but uniformly.
-    if isinstance(tree, trees.Leaf):
-        applied = AppliedMotif(program=application)
-        engine = StrandEngine(application, machine=machine)
-        return RunResult(tree.value, machine.metrics(), {}, engine, applied)
-
-    value_var = Var("Value")
-    watched = [("eval", 4)] if watch_eval else []
-
     if strategy == "tr1":
-        motif = _tr1_stack(server_library, termination)
-        applied = motif.apply(application)
+        motif = _stack(tree_reduce_1, server_library=server_library,
+                       termination=termination)
         if termination:
-            inner = Struct("boot", (trees.tree_term(tree), value_var, Var("Done")))
+            goal = lambda v: _create(machine, "boot", trees.tree_term(tree), v, Var("Done"))
         else:
-            inner = Struct("reduce", (trees.tree_term(tree), value_var))
-        goal: Term = Struct("create", (machine.size, inner))
+            goal = lambda v: _create(machine, "reduce", trees.tree_term(tree), v)
     elif strategy == "tr2":
-        motif = _tr2_stack(server_library)
-        applied = motif.apply(application)
-        import random as _random
+        motif = _stack(tree_reduce_2, server_library=server_library)
 
-        # Labelling must be a function of the *machine's* seed, not the
-        # ``seed`` parameter (which is ignored when a machine is passed in),
-        # or two runs on the same machine could label differently.
-        _entries, table = trees.label_table(
-            tree, machine.size, _random.Random(machine.seed + 0x5EED)
-        )
-        goal = Struct("create", (machine.size, Struct("init", (table, value_var))))
+        def goal(v: Var) -> Term:
+            # Labelling must be a function of the *machine's* seed, not the
+            # ``seed`` parameter (which is ignored when a machine is passed
+            # in), or two runs on the same machine could label differently.
+            _entries, table = trees.label_table(
+                tree, machine.size, random.Random(machine.seed + 0x5EED)
+            )
+            return _create(machine, "init", table, v)
     elif strategy == "static":
-        motif = _static_stack()
-        applied = motif.apply(application)
-        goal = Struct("sreduce", (trees.tree_term(tree), value_var, 1, machine.size))
+        motif = _stack(static_tree_motif)
+        goal = lambda v: Struct("sreduce", (trees.tree_term(tree), v, 1, machine.size))
     else:  # sequential
-        motif = _sequential_stack()
-        applied = motif.apply(application)
-        goal = Struct("reduce_seq", (trees.tree_term(tree), value_var))
-
-    if setup is not None:
-        applied.foreign_setup.append(setup)
-        applied.user_names.add("eval")
-
-    engine, metrics = run_applied(
-        applied, goal, machine, watched=watched,
+        motif = _stack(sequential_tree_motif)
+        goal = lambda v: Struct("reduce_seq", (trees.tree_term(tree), v))
+    return _run_tree(
+        tree, evaluator, machine, motif, goal,
+        f"tree reduction under {strategy!r} finished without binding the result",
+        eval_cost, watched=[("eval", 4)] if watch_eval else [],
         max_reductions=max_reductions, **engine_options,
     )
-    value = deref(value_var)
-    if type(value) is Var:
-        raise ReproError(
-            f"tree reduction under {strategy!r} finished without binding the result"
-        )
-    return RunResult(to_python(value), metrics, {"Value": value_var}, engine, applied)
 
 
 def reliable_reduce_tree(
@@ -318,47 +291,31 @@ def reliable_reduce_tree(
     partitions) to exercise the protocol; the result's ``metrics`` then
     carry the reliability counters (retransmits, acks, duplicates
     suppressed, unreachable reports), and destinations the protocol gave
-    up on are listed in ``result.engine.rel_state.unreachable``.  The
-    supervised variant runs with ``abandon_stragglers=True``: attempts
+    up on are listed in
+    ``repro.motifs.reliable.reliable_state(result.engine).unreachable``.
+    The supervised variant runs with ``abandon_stragglers=True``: attempts
     superseded by a Supervise retry may be permanently stranded by message
     loss, and are abandoned at quiescence rather than reported as a
     deadlock.
     """
     if machine is None:
         machine = Machine(processors, topology=topology, seed=seed)
-    application, setup = as_application(evaluator, cost=eval_cost)
-    if isinstance(tree, trees.Leaf):
-        applied = AppliedMotif(program=application)
-        engine = StrandEngine(application, machine=machine)
-        return RunResult(tree.value, machine.metrics(), {}, engine, applied)
-    motif = _reliable_stack(
-        retries, timeout, backoff, max_timeout,
-        supervise, sup_retries, sup_timeout, fallback, server_library,
+    motif = _stack(
+        reliable_tree_reduce, retries=retries, timeout=timeout,
+        backoff=backoff, max_timeout=max_timeout, supervise=supervise,
+        sup_retries=sup_retries, sup_timeout=sup_timeout,
+        fallback=fallback, server_library=server_library,
     )
-    applied = motif.apply(application)
-    if setup is not None:
-        applied.foreign_setup.append(setup)
-        applied.user_names.add("eval")
-    value_var = Var("Value")
     entry = "sup_run" if supervise else "reduce"
-    goal = Struct(
-        "create",
-        (machine.size, Struct(entry, (trees.tree_term(tree), value_var))),
+    return _run_tree(
+        tree, evaluator, machine, motif,
+        lambda v: _create(machine, entry, trees.tree_term(tree), v),
+        "reliable tree reduction finished without binding the result "
+        "(destination permanently unreachable? check "
+        "reliable_state(engine).unreachable)",
+        eval_cost, watched=[("eval", 4)], max_reductions=max_reductions,
+        abandon_stragglers=supervise, **engine_options,
     )
-    engine, metrics = run_applied(
-        applied, goal, machine, watched=[("eval", 4)],
-        max_reductions=max_reductions,
-        abandon_stragglers=supervise,
-        **engine_options,
-    )
-    value = deref(value_var)
-    if type(value) is Var:
-        raise ReproError(
-            "reliable tree reduction finished without binding the result "
-            "(destination permanently unreachable? check "
-            "engine.rel_state.unreachable)"
-        )
-    return RunResult(to_python(value), metrics, {"Value": value_var}, engine, applied)
 
 
 def supervised_reduce_tree(
@@ -391,30 +348,15 @@ def supervised_reduce_tree(
     """
     if machine is None:
         machine = Machine(processors, topology=topology, seed=seed)
-    application, setup = as_application(evaluator, cost=eval_cost)
-    if isinstance(tree, trees.Leaf):
-        applied = AppliedMotif(program=application)
-        engine = StrandEngine(application, machine=machine)
-        return RunResult(tree.value, machine.metrics(), {}, engine, applied)
-    motif = _supervised_stack(retries, timeout, backoff, fallback, server_library)
-    applied = motif.apply(application)
-    if setup is not None:
-        applied.foreign_setup.append(setup)
-        applied.user_names.add("eval")
-    value_var = Var("Value")
-    goal = Struct(
-        "create",
-        (machine.size, Struct("sup_run", (trees.tree_term(tree), value_var))),
+    motif = _stack(
+        supervised_tree_reduce, retries=retries, timeout=timeout,
+        backoff=backoff, fallback=fallback, server_library=server_library,
     )
-    engine, metrics = run_applied(
-        applied, goal, machine, watched=[("eval", 4)],
-        max_reductions=max_reductions,
+    return _run_tree(
+        tree, evaluator, machine, motif,
+        lambda v: _create(machine, "sup_run", trees.tree_term(tree), v),
+        "supervised tree reduction finished without binding the result "
+        "(was the supervision channel itself severed?)",
+        eval_cost, watched=[("eval", 4)], max_reductions=max_reductions,
         **engine_options,
     )
-    value = deref(value_var)
-    if type(value) is Var:
-        raise ReproError(
-            "supervised tree reduction finished without binding the result "
-            "(was the supervision channel itself severed?)"
-        )
-    return RunResult(to_python(value), metrics, {"Value": value_var}, engine, applied)

@@ -215,7 +215,8 @@ class FaultStats:
     """Counters for injected faults and the supervision responses to them.
 
     Owned by the :class:`~repro.machine.simulator.Machine`; snapshot into
-    :class:`~repro.machine.metrics.MachineMetrics` after a run.
+    :class:`~repro.machine.metrics.MachineMetrics` (which inherits these
+    fields) after a run.  This is the one declaration of each counter.
     """
 
     crashes: int = 0
@@ -226,11 +227,12 @@ class FaultStats:
     processes_abandoned: int = 0
     processes_migrated: int = 0
     orphaned_suspensions: int = 0
-    # Supervision motif accounting (builtins `after`/`sup_note` bump these).
+    # Supervision motif accounting (bumped by the `after/2` builtin and the
+    # motif's own primitives).
     sup_timeouts: int = 0
     sup_retries: int = 0
     sup_degraded: int = 0
-    # Reliable motif accounting (builtins `rel_*` bump these).
+    # Reliable motif accounting (bumped by the motif's primitives).
     rel_retransmits: int = 0
     rel_acks: int = 0
     rel_duplicates_suppressed: int = 0

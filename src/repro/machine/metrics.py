@@ -10,8 +10,9 @@ balance, E3), message and hop counts (E5), and watched-task high-water marks
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
+from repro.machine.faults import FaultStats
 from repro.machine.processor import VirtualProcessor
 
 __all__ = [
@@ -86,9 +87,12 @@ class EpochTelemetry:
         )
 
 
-@dataclass
-class MachineMetrics:
-    """Snapshot of one finished run."""
+@dataclass(kw_only=True)
+class MachineMetrics(FaultStats):
+    """Snapshot of one finished run.
+
+    The fault, supervision, and reliability counters are inherited from
+    :class:`~repro.machine.faults.FaultStats`, their one declaration."""
 
     processors: int
     makespan: float
@@ -106,25 +110,6 @@ class MachineMetrics:
     # procedures in the "library" set vs everything else (experiment E8).
     library_cost: float = 0.0
     user_cost: float = 0.0
-    # Fault-injection accounting (zero on fault-free runs).
-    crashes: int = 0
-    messages_dropped: int = 0
-    messages_delayed: int = 0
-    messages_duplicated: int = 0
-    partition_dropped: int = 0
-    processes_abandoned: int = 0
-    processes_migrated: int = 0
-    orphaned_suspensions: int = 0
-    # Supervision-motif responses to injected faults.
-    sup_timeouts: int = 0
-    sup_retries: int = 0
-    sup_degraded: int = 0
-    # Reliable-motif responses: retransmissions, receiver acks, duplicate
-    # deliveries suppressed, and destinations reported unreachable.
-    rel_retransmits: int = 0
-    rel_acks: int = 0
-    rel_duplicates_suppressed: int = 0
-    rel_unreachable: int = 0
     # Events the Trace dropped past its limit — nonzero means every
     # trace-derived figure is a lower bound.
     trace_dropped: int = 0
@@ -228,24 +213,9 @@ class MachineMetrics:
         """Every fault/reliability/trace counter as one flat dict — the
         uniform export surface for bench JSON and reporting tables, so no
         counter exists only in one harness's ad-hoc output."""
-        return {
-            "crashes": self.crashes,
-            "messages_dropped": self.messages_dropped,
-            "messages_delayed": self.messages_delayed,
-            "messages_duplicated": self.messages_duplicated,
-            "partition_dropped": self.partition_dropped,
-            "processes_abandoned": self.processes_abandoned,
-            "processes_migrated": self.processes_migrated,
-            "orphaned_suspensions": self.orphaned_suspensions,
-            "sup_timeouts": self.sup_timeouts,
-            "sup_retries": self.sup_retries,
-            "sup_degraded": self.sup_degraded,
-            "rel_retransmits": self.rel_retransmits,
-            "rel_acks": self.rel_acks,
-            "rel_duplicates_suppressed": self.rel_duplicates_suppressed,
-            "rel_unreachable": self.rel_unreachable,
-            "trace_dropped": self.trace_dropped,
-        }
+        counters = {f.name: getattr(self, f.name) for f in fields(FaultStats)}
+        counters["trace_dropped"] = self.trace_dropped
+        return counters
 
     def summary(self) -> str:
         text = (

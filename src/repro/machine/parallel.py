@@ -307,7 +307,6 @@ class _ShardContext(WireContext):
 
 def _apply_message(shard: _ShardContext, msg: tuple) -> None:
     """Commit one routed message on its destination shard."""
-    from repro.strand.builtins import BUILTINS
     from repro.strand.terms import Struct, deref
 
     time, _src_shard, _seq, kind, payload = msg
@@ -317,7 +316,7 @@ def _apply_message(shard: _ShardContext, msg: tuple) -> None:
         goal = thaw(ops, shard)
         goal_d = deref(goal)
         indicator_lib = None
-        if type(goal_d) is Struct and goal_d.indicator in BUILTINS:
+        if type(goal_d) is Struct and goal_d.indicator in engine.reducer.primitives:
             indicator_lib = lib
         engine.spawn(goal, dst, ready=ready, lib=indicator_lib)
     elif kind == "bind":

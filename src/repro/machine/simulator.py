@@ -14,6 +14,7 @@ time ties with a monotone sequence number.
 from __future__ import annotations
 
 import random
+from dataclasses import asdict
 
 from repro.errors import MachineError
 from repro.machine.faults import FaultPlan, FaultStats, Partition
@@ -227,27 +228,12 @@ class Machine:
 
     # -- results ------------------------------------------------------------
     def metrics(self) -> MachineMetrics:
-        fs = self.fault_stats
         return MachineMetrics.from_processors(
             self.procs,
             library_cost=self.library_cost,
             user_cost=self.user_cost,
-            crashes=fs.crashes,
-            messages_dropped=fs.messages_dropped,
-            messages_delayed=fs.messages_delayed,
-            messages_duplicated=fs.messages_duplicated,
-            partition_dropped=fs.partition_dropped,
-            processes_abandoned=fs.processes_abandoned,
-            processes_migrated=fs.processes_migrated,
-            orphaned_suspensions=fs.orphaned_suspensions,
-            sup_timeouts=fs.sup_timeouts,
-            sup_retries=fs.sup_retries,
-            sup_degraded=fs.sup_degraded,
-            rel_retransmits=fs.rel_retransmits,
-            rel_acks=fs.rel_acks,
-            rel_duplicates_suppressed=fs.rel_duplicates_suppressed,
-            rel_unreachable=fs.rel_unreachable,
             trace_dropped=self.trace.dropped,
+            **asdict(self.fault_stats),
         )
 
     def reset(self) -> None:

@@ -22,9 +22,9 @@ Rand and Server::
   retransmit timer with capped exponential backoff.  Acks are variable
   bindings, which the failure model delivers reliably — only the ``rmsg``
   itself can be lost.  When the retry cap is exhausted the destination is
-  reported on the engine's status stream (``engine.rel_state.unreachable``,
+  reported on the run's status stream (``reliable_state(engine).unreachable``,
   via ``rel_dead/2``) instead of retransmitting forever.
-* **Receive side** — ``rel_accept/2`` consults the engine's seen-set and
+* **Receive side** — ``rel_accept/2`` consults the run's seen-set and
   classifies each token ``new`` or ``dup``; duplicates (retransmissions
   that crossed their own ack, or network-duplicated deliveries) are acked
   and discarded without re-dispatching the payload.
@@ -45,25 +45,37 @@ Guarantees and limits (documented in ``docs/MOTIFS.md``):
 * the bootstrap (``create``'s remote ``server_init`` spawns) predates the
   protocol and is not protected; a server that never boots is exactly the
   "permanently unreachable" case the status stream reports.
+
+Runtime primitives: the five ``rel_*`` procedures below are raw foreign
+procedures (the builtin contract ``fn(engine, process, args, now) ->
+cost``), registered by the motif's ``foreign_setup``.  Their per-run
+bookkeeping is :func:`reliable_state`, kept per engine.
 """
 
 from __future__ import annotations
 
+import weakref
+
 from repro.core.motif import ComposedMotif, Motif
-from repro.errors import TransformError
+from repro.errors import StrandError, TransformError
 from repro.motifs.random_map import rand_motif
 from repro.motifs.server import server_motif
 from repro.motifs.supervisor import SUP_RUN, TREE1_SUP_LIBRARY, supervise_motif
 from repro.motifs.tree_reduce1 import tree1_motif
+from repro.strand.builtins import need_bound, need_int
+from repro.strand.foreign import ForeignRegistry
 from repro.strand.program import Program, Rule
 from repro.strand.terms import Atom, Cons, Struct, Term, Var, deref, term_eq
 from repro.transform.transformation import Transformation
 
 __all__ = [
+    "ReliableState",
     "ReliableTransformation",
     "reliable_motif",
+    "reliable_state",
     "reliable_tree_reduce",
     "RELIABLE_LIBRARY",
+    "RELIABLE_PRIMITIVES",
 ]
 
 RELIABLE_LIBRARY = """
@@ -96,6 +108,128 @@ rel_wait(timeout, Ack, Node, Tok, Msg, Left, T) :- Left > 0 |
 rel_wait(timeout, _Ack, Node, Tok, _Msg, 0, _T) :-
     rel_dead(Node, Tok).
 """
+
+
+class ReliableState:
+    """One run's bookkeeping for the Reliable protocol.
+
+    ``next_seq`` assigns per-(sender processor, destination) sequence
+    numbers; ``seen`` is the receive-side dedup set of delivered
+    ``(sender, destination, seq)`` tokens; ``unreachable`` is the status
+    stream — one entry per destination the protocol gave up on, in
+    delivery order."""
+
+    def __init__(self):
+        self.next_seq: dict[tuple[int, int], int] = {}
+        self.seen: set[tuple[int, int, int]] = set()
+        self.unreachable: list[tuple[int, int, int]] = []
+
+
+# Keyed by engine rather than kept in the foreign registry: one registry may
+# serve many runs, and each run needs fresh sequence numbers and seen-set.
+_STATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def reliable_state(engine) -> ReliableState:
+    """The Reliable protocol's state for ``engine`` (empty until the
+    protocol first runs on it)."""
+    state = _STATES.get(engine)
+    if state is None:
+        state = _STATES[engine] = ReliableState()
+    return state
+
+
+def _rel_seq(engine, process, args, now):
+    """``rel_seq(Node, Tok)`` — assign the next per-(sender, destination)
+    sequence number and bind ``Tok`` to the send token
+    ``sid(Sender, Node, Seq)`` that identifies this logical message across
+    retransmissions."""
+    node = need_int(args[0], "rel_seq/2 node")
+    key = (process.proc, node)
+    state = reliable_state(engine)
+    seq = state.next_seq.get(key, 0) + 1
+    state.next_seq[key] = seq
+    engine.bind(args[1], Struct("sid", (process.proc, node, seq)), process.proc, now)
+    return 1.0
+
+
+def _rel_token(term: Term, what: str) -> tuple[int, int, int]:
+    tok = need_bound(term)
+    if type(tok) is not Struct or tok.indicator != ("sid", 3):
+        raise StrandError(f"{what} needs a sid/3 token, got {tok!r}")
+    parts = tuple(deref(a) for a in tok.args)
+    if not all(isinstance(p, int) for p in parts):
+        raise StrandError(f"{what}: malformed token {tok!r}")
+    return parts  # type: ignore[return-value]
+
+
+def _rel_accept(engine, process, args, now):
+    """``rel_accept(Tok, Verdict)`` — receive-side dedup: bind ``Verdict``
+    to ``new`` the first time a token is seen and ``dup`` on every
+    redelivery (retransmission or network duplicate)."""
+    key = _rel_token(args[0], "rel_accept/2")
+    state = reliable_state(engine)
+    if key in state.seen:
+        engine.machine.fault_stats.rel_duplicates_suppressed += 1
+        engine.machine.trace.record(
+            now, process.proc, "fault", f"rel:dup-suppressed p{key[0]}#{key[2]}"
+        )
+        verdict = Atom("dup")
+    else:
+        state.seen.add(key)
+        verdict = Atom("new")
+    engine.bind(args[1], verdict, process.proc, now)
+    return 1.0
+
+
+def _rel_ack(engine, process, args, now):
+    """``rel_ack(Ack)`` — acknowledge receipt by binding the sender's ack
+    variable (variable-binding wakeups are reliable in the failure model,
+    so the ack itself cannot be lost).  Idempotent: redeliveries re-ack the
+    already-bound variable at no cost."""
+    if engine.bind_if_unbound(args[0], Atom("ack"), process.proc, now):
+        engine.machine.fault_stats.rel_acks += 1
+    return 1.0
+
+
+def _rel_note(engine, process, args, now):
+    """Zero-cost reliability accounting hook: ``rel_note(retransmit)``."""
+    what = need_bound(args[0])
+    name = what.name if type(what) is Atom else str(what)
+    if name == "retransmit":
+        engine.machine.fault_stats.rel_retransmits += 1
+    else:
+        raise StrandError(f"rel_note/1: unknown event {name!r}")
+    engine.machine.trace.record(now, process.proc, "fault", f"rel:{name}")
+    return 0.0
+
+
+def _rel_dead(engine, process, args, now):
+    """``rel_dead(Node, Tok)`` — the retry cap is exhausted: report ``Node``
+    permanently unreachable on the status stream
+    (``reliable_state(engine).unreachable``) instead of hanging the sender."""
+    node = need_int(args[0], "rel_dead/2 node")
+    key = _rel_token(args[1], "rel_dead/2")
+    engine.machine.fault_stats.rel_unreachable += 1
+    reliable_state(engine).unreachable.append(key)
+    engine.machine.trace.record(
+        now, process.proc, "fault", f"rel:unreachable p{node}#{key[2]}"
+    )
+    return 1.0
+
+
+#: The protocol's raw foreign procedures, registered by ``foreign_setup``.
+RELIABLE_PRIMITIVES = {
+    ("rel_seq", 2): _rel_seq,
+    ("rel_accept", 2): _rel_accept,
+    ("rel_ack", 1): _rel_ack,
+    ("rel_note", 1): _rel_note,
+    ("rel_dead", 2): _rel_dead,
+}
+
+
+def _register_primitives(registry: ForeignRegistry) -> None:
+    registry.register_primitives(RELIABLE_PRIMITIVES)
 
 
 def _recv_name(indicator: tuple[str, int]) -> str:
@@ -263,6 +397,7 @@ def reliable_motif(
             retries=retries, timeout=timeout, backoff=backoff,
             max_timeout=max_timeout,
         ),
+        foreign_setup=_register_primitives,
     )
 
 

@@ -20,7 +20,9 @@ contract:
   *attempt* (a fresh-variable copy of the goal, so retries never collide
   with stragglers from earlier attempts), arms a timeout, and on expiry
   retries with an exponentially backed-off timeout or degrades to the
-  fallback.
+  fallback.  Its two runtime primitives, ``sup_fresh/4`` and
+  ``sup_note/1``, are raw foreign procedures registered by the motif's
+  ``foreign_setup``.
 
 Composition: ``Supervised-Tree-Reduce = Server ∘ Rand ∘ Supervise ∘ Tree1′``
 where ``Tree1′`` is the five-line reduction with ``@ supervised(R)`` in
@@ -50,11 +52,13 @@ Caveats (documented limits of the model):
 from __future__ import annotations
 
 from repro.core.motif import ComposedMotif, Motif
-from repro.errors import TransformError
+from repro.errors import StrandError, TransformError
 from repro.motifs.random_map import rand_motif
 from repro.motifs.server import server_motif
+from repro.strand.builtins import need_bound, need_int
+from repro.strand.foreign import ForeignRegistry
 from repro.strand.program import Program, Rule
-from repro.strand.terms import Struct, Term, Var, deref
+from repro.strand.terms import Atom, Struct, Term, Var, deref, rename_term
 from repro.transform.callgraph import CallGraph
 from repro.transform.rewrite import strip_placement, with_placement
 from repro.transform.transformation import Transformation
@@ -67,6 +71,7 @@ __all__ = [
     "TREE1_SUP_LIBRARY",
     "SUP_RUN",
     "SUPERVISE_SERVICES",
+    "SUPERVISE_PRIMITIVES",
 ]
 
 SUP_RUN = "sup_run"
@@ -125,6 +130,52 @@ sup_check(Value, _Goal, _K, Out, _Retries, _Timeout) :-
     known(Value), Value \\== timeout |
     soft_bind(Out, Value).
 """
+
+def _sup_fresh(engine, process, args, now):
+    """``sup_fresh(Goal, K, Copy, CopyOut)`` — make a fresh-variable copy
+    of ``Goal`` (the retry-attempt primitive: each attempt gets private
+    variables so a late straggler from a previous attempt cannot collide
+    with the current one) and expose the copy and its K-th argument."""
+    goal = need_bound(args[0])
+    k = need_int(args[1], "sup_fresh/4 index")
+    if type(goal) is not Struct:
+        raise StrandError(f"sup_fresh/4 needs a structure goal, got {goal!r}")
+    if not 1 <= k <= len(goal.args):
+        raise StrandError(
+            f"sup_fresh/4 index {k} out of range 1..{len(goal.args)}"
+        )
+    copy = rename_term(goal)
+    engine.bind(args[2], copy, process.proc, now)
+    engine.bind(args[3], copy.args[k - 1], process.proc, now)
+    return 1.0
+
+
+def _sup_note(engine, process, args, now):
+    """Zero-cost supervision accounting hook: ``sup_note(retry)`` /
+    ``sup_note(degrade)`` bump the machine's fault counters."""
+    what = need_bound(args[0])
+    name = what.name if type(what) is Atom else str(what)
+    stats = engine.machine.fault_stats
+    if name == "retry":
+        stats.sup_retries += 1
+    elif name == "degrade":
+        stats.sup_degraded += 1
+    else:
+        raise StrandError(f"sup_note/1: unknown event {name!r}")
+    engine.machine.trace.record(now, process.proc, "fault", f"sup:{name}")
+    return 0.0
+
+
+#: The library's raw foreign procedures, registered by ``foreign_setup``.
+SUPERVISE_PRIMITIVES = {
+    ("sup_fresh", 4): _sup_fresh,
+    ("sup_note", 1): _sup_note,
+}
+
+
+def _register_primitives(registry: ForeignRegistry) -> None:
+    registry.register_primitives(SUPERVISE_PRIMITIVES)
+
 
 #: Attempt-dispatch rule variants interpolated into the library.
 _SPAWN_RANDOM = "sup_spawn(Copy) :- call(Copy) @ random."
@@ -307,6 +358,7 @@ def supervise_motif(
             spawn=spawn, backoff=backoff, fallback=fallback
         ),
         services=SUPERVISE_SERVICES,
+        foreign_setup=_register_primitives,
     )
 
 

@@ -11,7 +11,9 @@ The set matches the primitives the paper's programs use: ``:=``, ``length``,
 ``make_tuple``, ``put_arg``, ``rand_num``, ``distribute``, ``merge``, plus
 the port primitives Strand systems provided underneath (``open_port``,
 ``send_port``, ``close_port``) and no-cost instrumentation hooks used by
-the memory experiment (E4).
+the memory experiment (E4).  A motif's own runtime primitives follow the
+same contract but live in the motif, registered as raw foreign procedures
+(``motifs/reliable.py``, ``motifs/supervisor.py``).
 """
 
 from __future__ import annotations
@@ -30,11 +32,10 @@ from repro.strand.terms import (
     Tup,
     Var,
     deref,
-    rename_term,
     term_eq,
 )
 
-__all__ = ["BUILTINS", "is_builtin"]
+__all__ = ["BUILTINS", "is_builtin", "need_bound", "need_int"]
 
 # Populated at module bottom: (name, arity) -> callable.
 BUILTINS: dict[tuple[str, int], Callable] = {}
@@ -52,7 +53,7 @@ def _builtin(name: str, arity: int):
     return register
 
 
-def _need_bound(term: Term) -> Term:
+def need_bound(term: Term) -> Term:
     """Deref; raise Suspend if unbound."""
     term = deref(term)
     if type(term) is Var:
@@ -60,7 +61,7 @@ def _need_bound(term: Term) -> Term:
     return term
 
 
-def _need_int(term: Term, what: str) -> int:
+def need_int(term: Term, what: str) -> int:
     """Evaluate an arithmetic argument to an integer (suspending on vars)."""
     try:
         value = eval_arith(term)
@@ -103,14 +104,14 @@ def _assign(engine, process, args, now):
 
 @_builtin("length", 2)
 def _length(engine, process, args, now):
-    t = _need_bound(args[0])
+    t = need_bound(args[0])
     if type(t) is Tup:
         n = len(t.args)
     elif type(t) is Cons or t is NIL:
         n = 0
         while type(t) is Cons:
             n += 1
-            t = _need_bound(t.tail)
+            t = need_bound(t.tail)
         if t is not NIL:
             raise StrandError(f"length/2 on improper list ending in {t!r}")
     elif type(t) is Struct:
@@ -123,7 +124,7 @@ def _length(engine, process, args, now):
 
 @_builtin("make_tuple", 2)
 def _make_tuple(engine, process, args, now):
-    n = _need_int(args[0], "make_tuple/2 size")
+    n = need_int(args[0], "make_tuple/2 size")
     if n < 0:
         raise StrandError(f"make_tuple/2: negative size {n}")
     engine.bind(args[1], Tup([Var() for _ in range(n)]), process.proc, now)
@@ -132,8 +133,8 @@ def _make_tuple(engine, process, args, now):
 
 @_builtin("put_arg", 3)
 def _put_arg(engine, process, args, now):
-    i = _need_int(args[0], "put_arg/3 index")
-    t = _need_bound(args[1])
+    i = need_int(args[0], "put_arg/3 index")
+    t = need_bound(args[1])
     if type(t) is not Tup:
         raise StrandError(f"put_arg/3 needs a tuple, got {t!r}")
     if not 1 <= i <= len(t.args):
@@ -147,8 +148,8 @@ def _put_arg(engine, process, args, now):
 
 @_builtin("arg", 3)
 def _arg(engine, process, args, now):
-    i = _need_int(args[0], "arg/3 index")
-    t = _need_bound(args[1])
+    i = need_int(args[0], "arg/3 index")
+    t = need_bound(args[1])
     if type(t) not in (Tup, Struct):
         raise StrandError(f"arg/3 needs a tuple or structure, got {t!r}")
     if not 1 <= i <= len(t.args):
@@ -163,7 +164,7 @@ def _arg(engine, process, args, now):
 
 @_builtin("rand_num", 2)
 def _rand_num(engine, process, args, now):
-    n = _need_int(args[0], "rand_num/2 bound")
+    n = need_int(args[0], "rand_num/2 bound")
     if n < 1:
         raise StrandError(f"rand_num/2: bound must be >= 1, got {n}")
     engine.bind(args[1], engine.machine.rng.randint(1, n), process.proc, now)
@@ -178,7 +179,7 @@ def _place(engine, process, args, now):
             f"pragma '@ {where.name}' reached the engine; a motif "
             f"transformation (e.g. Random) must erase it first"
         )
-    target = engine.machine.normalize(_need_int(where, "@/2 processor"))
+    target = engine.machine.normalize(need_int(where, "@/2 processor"))
     engine.spawn_remote(goal, src=process.proc, dst=target, now=now, lib=process.lib)
     return 1.0
 
@@ -199,7 +200,7 @@ def _open_port(engine, process, args, now):
 
 @_builtin("send_port", 2)
 def _send_port(engine, process, args, now):
-    port = _need_bound(args[0])
+    port = need_bound(args[0])
     if not isinstance(port, PortRef):
         raise StrandError(f"send_port/2 needs a port, got {port!r}")
     engine.port_send(port, args[1], src=process.proc, now=now)
@@ -208,7 +209,7 @@ def _send_port(engine, process, args, now):
 
 @_builtin("close_port", 1)
 def _close_port(engine, process, args, now):
-    port = _need_bound(args[0])
+    port = need_bound(args[0])
     if not isinstance(port, PortRef):
         raise StrandError(f"close_port/1 needs a port, got {port!r}")
     engine.port_close(port, src=process.proc, now=now)
@@ -219,15 +220,15 @@ def _close_port(engine, process, args, now):
 def _distribute(engine, process, args, now):
     """``distribute(Node, Msg, DT)`` — send Msg on the Node-th port of the
     server tuple DT (§3.2, transformation step 2)."""
-    node = _need_int(args[0], "distribute/3 node")
-    dt = _need_bound(args[2])
+    node = need_int(args[0], "distribute/3 node")
+    dt = need_bound(args[2])
     if type(dt) is not Tup:
         raise StrandError(f"distribute/3 needs a tuple of ports, got {dt!r}")
     if not 1 <= node <= len(dt.args):
         raise StrandError(
             f"distribute/3 node {node} out of range 1..{len(dt.args)}"
         )
-    port = _need_bound(dt.args[node - 1])
+    port = need_bound(dt.args[node - 1])
     if not isinstance(port, PortRef):
         raise StrandError(f"distribute/3: slot {node} holds {port!r}, not a port")
     engine.port_send(port, args[1], src=process.proc, now=now)
@@ -270,13 +271,15 @@ def _merge(engine, process, args, now):
 
 
 # ---------------------------------------------------------------------------
-# Supervision primitives (see motifs/supervisor.py)
+# Metacall, timers, and first-writer-wins binding (the Supervise and
+# Reliable motifs are built on these; their own primitives live in
+# motifs/supervisor.py and motifs/reliable.py)
 # ---------------------------------------------------------------------------
 
 @_builtin("call", 1)
 def _call(engine, process, args, now):
     """Metacall: spawn the (bound) argument as a new process here."""
-    goal = _need_bound(args[0])
+    goal = need_bound(args[0])
     if type(goal) not in (Struct, Atom):
         raise StrandError(f"call/1 needs a goal, got {goal!r}")
     engine.spawn(goal, process.proc, ready=now + 1.0, lib=process.lib)
@@ -327,131 +330,6 @@ def _soft_bind(engine, process, args, now):
     """Bind-if-unbound: the race-free resolution primitive.  First writer
     (in deterministic event order) wins; later writers are no-ops."""
     engine.bind_if_unbound(args[0], args[1], process.proc, now)
-    return 1.0
-
-
-@_builtin("sup_fresh", 4)
-def _sup_fresh(engine, process, args, now):
-    """``sup_fresh(Goal, K, Copy, CopyOut)`` — make a fresh-variable copy
-    of ``Goal`` (the retry-attempt primitive: each attempt gets private
-    variables so a late straggler from a previous attempt cannot collide
-    with the current one) and expose the copy and its K-th argument."""
-    goal = _need_bound(args[0])
-    k = _need_int(args[1], "sup_fresh/4 index")
-    if type(goal) is not Struct:
-        raise StrandError(f"sup_fresh/4 needs a structure goal, got {goal!r}")
-    if not 1 <= k <= len(goal.args):
-        raise StrandError(
-            f"sup_fresh/4 index {k} out of range 1..{len(goal.args)}"
-        )
-    copy = rename_term(goal)
-    engine.bind(args[2], copy, process.proc, now)
-    engine.bind(args[3], copy.args[k - 1], process.proc, now)
-    return 1.0
-
-
-@_builtin("sup_note", 1)
-def _sup_note(engine, process, args, now):
-    """Zero-cost supervision accounting hook: ``sup_note(retry)`` /
-    ``sup_note(degrade)`` bump the machine's fault counters."""
-    what = _need_bound(args[0])
-    name = what.name if type(what) is Atom else str(what)
-    stats = engine.machine.fault_stats
-    if name == "retry":
-        stats.sup_retries += 1
-    elif name == "degrade":
-        stats.sup_degraded += 1
-    else:
-        raise StrandError(f"sup_note/1: unknown event {name!r}")
-    engine.machine.trace.record(now, process.proc, "fault", f"sup:{name}")
-    return 0.0
-
-
-# ---------------------------------------------------------------------------
-# Reliable-delivery primitives (see motifs/reliable.py)
-# ---------------------------------------------------------------------------
-
-@_builtin("rel_seq", 2)
-def _rel_seq(engine, process, args, now):
-    """``rel_seq(Node, Tok)`` — assign the next per-(sender, destination)
-    sequence number and bind ``Tok`` to the send token
-    ``sid(Sender, Node, Seq)`` that identifies this logical message across
-    retransmissions."""
-    node = _need_int(args[0], "rel_seq/2 node")
-    key = (process.proc, node)
-    state = engine.rel_state
-    seq = state.next_seq.get(key, 0) + 1
-    state.next_seq[key] = seq
-    engine.bind(args[1], Struct("sid", (process.proc, node, seq)), process.proc, now)
-    return 1.0
-
-
-def _rel_token(term: Term, what: str) -> tuple[int, int, int]:
-    tok = _need_bound(term)
-    if type(tok) is not Struct or tok.indicator != ("sid", 3):
-        raise StrandError(f"{what} needs a sid/3 token, got {tok!r}")
-    parts = tuple(deref(a) for a in tok.args)
-    if not all(isinstance(p, int) for p in parts):
-        raise StrandError(f"{what}: malformed token {tok!r}")
-    return parts  # type: ignore[return-value]
-
-
-@_builtin("rel_accept", 2)
-def _rel_accept(engine, process, args, now):
-    """``rel_accept(Tok, Verdict)`` — receive-side dedup: bind ``Verdict``
-    to ``new`` the first time a token is seen and ``dup`` on every
-    redelivery (retransmission or network duplicate)."""
-    key = _rel_token(args[0], "rel_accept/2")
-    state = engine.rel_state
-    if key in state.seen:
-        engine.machine.fault_stats.rel_duplicates_suppressed += 1
-        engine.machine.trace.record(
-            now, process.proc, "fault", f"rel:dup-suppressed p{key[0]}#{key[2]}"
-        )
-        verdict = Atom("dup")
-    else:
-        state.seen.add(key)
-        verdict = Atom("new")
-    engine.bind(args[1], verdict, process.proc, now)
-    return 1.0
-
-
-@_builtin("rel_ack", 1)
-def _rel_ack(engine, process, args, now):
-    """``rel_ack(Ack)`` — acknowledge receipt by binding the sender's ack
-    variable (variable-binding wakeups are reliable in the failure model,
-    so the ack itself cannot be lost).  Idempotent: redeliveries re-ack the
-    already-bound variable at no cost."""
-    if engine.bind_if_unbound(args[0], Atom("ack"), process.proc, now):
-        engine.machine.fault_stats.rel_acks += 1
-    return 1.0
-
-
-@_builtin("rel_note", 1)
-def _rel_note(engine, process, args, now):
-    """Zero-cost reliability accounting hook: ``rel_note(retransmit)``."""
-    what = _need_bound(args[0])
-    name = what.name if type(what) is Atom else str(what)
-    if name == "retransmit":
-        engine.machine.fault_stats.rel_retransmits += 1
-    else:
-        raise StrandError(f"rel_note/1: unknown event {name!r}")
-    engine.machine.trace.record(now, process.proc, "fault", f"rel:{name}")
-    return 0.0
-
-
-@_builtin("rel_dead", 2)
-def _rel_dead(engine, process, args, now):
-    """``rel_dead(Node, Tok)`` — the retry cap is exhausted: report ``Node``
-    permanently unreachable on the engine's status stream
-    (``engine.rel_state.unreachable``) instead of hanging the sender."""
-    node = _need_int(args[0], "rel_dead/2 node")
-    key = _rel_token(args[1], "rel_dead/2")
-    engine.machine.fault_stats.rel_unreachable += 1
-    engine.rel_state.unreachable.append(key)
-    engine.machine.trace.record(
-        now, process.proc, "fault", f"rel:unreachable p{node}#{key[2]}"
-    )
     return 1.0
 
 

@@ -18,7 +18,8 @@ the pieces together:
   simulator: a global event heap orders processors by the earliest time they
   can next execute, and per-processor heaps order processes by readiness;
 * the **reducer** (:mod:`repro.strand.reducer`) performs one reduction
-  attempt: builtin, foreign, or compiled user-rule dispatch.
+  attempt: primitive (builtin or raw foreign), foreign, or compiled
+  user-rule dispatch.
 
 The engine itself keeps the parts builtins interact with: binding (with
 wakeups), ports, spawning (local and remote with the network's latency),
@@ -38,23 +39,16 @@ from repro.errors import (
 )
 from repro.machine.metrics import MachineMetrics
 from repro.machine.simulator import Machine
-from repro.strand.builtins import BUILTINS
 from repro.strand.compile import CompiledProgram, compile_program
 from repro.strand.foreign import ForeignRegistry, to_python
 from repro.strand.parser import parse_query
 from repro.strand.program import Program
 from repro.strand.reducer import Reducer
-from repro.strand.scheduler import DONE, RUNNABLE, SUSPENDED, Process, Scheduler
+from repro.strand.scheduler import DONE, Process, Scheduler
 from repro.strand.streams import PortRef
 from repro.strand.terms import Atom, Cons, NIL, Struct, Term, Var, deref, term_eq
 
-__all__ = ["Process", "ReliableState", "StrandEngine", "QueryResult", "run_query"]
-
-# Backwards-compatible aliases for the process states now defined in the
-# scheduler module.
-_RUNNABLE = RUNNABLE
-_SUSPENDED = SUSPENDED
-_DONE = DONE
+__all__ = ["Process", "StrandEngine", "QueryResult", "run_query"]
 
 
 def _msg_tag(msg: Term) -> str:
@@ -65,21 +59,6 @@ def _msg_tag(msg: Term) -> str:
     if type(msg) is Atom:
         return msg.name
     return type(msg).__name__.lower()
-
-
-class ReliableState:
-    """Per-engine bookkeeping for the Reliable motif's builtins.
-
-    ``next_seq`` assigns per-(sender processor, destination) sequence
-    numbers; ``seen`` is the receive-side dedup set of delivered
-    ``(sender, destination, seq)`` tokens; ``unreachable`` is the status
-    stream — one entry per destination the protocol gave up on, in
-    delivery order."""
-
-    def __init__(self):
-        self.next_seq: dict[tuple[int, int], int] = {}
-        self.seen: set[tuple[int, int, int]] = set()
-        self.unreachable: list[tuple[int, int, int]] = []
 
 
 class QueryResult:
@@ -196,20 +175,10 @@ class StrandEngine:
         )
 
         self.output: list[str] = []
-        self.rel_state = ReliableState()
         self.ports: list[PortRef] = []
         self._ports_closed = False
         self._quiesce_closes = 0
         self._crash_timers_installed = False
-
-    # -- compatibility views over the scheduler's state -----------------
-    @property
-    def _suspended(self) -> dict[int, Process]:
-        return self.scheduler.suspended
-
-    @property
-    def _live(self) -> int:
-        return self.scheduler.live
 
     # ------------------------------------------------------------------
     # Spawning
@@ -285,7 +254,7 @@ class StrandEngine:
                 return None
         indicator_lib = None
         goal_d = deref(goal)
-        if type(goal_d) is Struct and goal_d.indicator in BUILTINS:
+        if type(goal_d) is Struct and goal_d.indicator in self.reducer.primitives:
             indicator_lib = lib
         return self.spawn(goal, dst, ready=now + latency, lib=indicator_lib,
                           cause=cause)
@@ -509,7 +478,7 @@ class StrandEngine:
                 key=lambda item: (item[1].proc, item[1].seq),
             ):
                 del self.scheduler.suspended[key]
-                process.state = _DONE
+                process.state = DONE
                 self.scheduler.live -= 1
                 stats.processes_abandoned += 1
                 self.machine.trace.record(

@@ -124,9 +124,15 @@ class ForeignProcedure:
 
     ``inputs``/``outputs`` are argument positions (0-based).  ``cost`` is a
     number, or a callable over the converted input values returning the
-    virtual time charged for the call (default 1.0).  With ``raw=True`` the
-    function receives ``(engine_context, raw_term_args)`` and manages
-    binding itself (used by advanced motifs).
+    virtual time charged for the call (default 1.0).
+
+    With ``raw=True`` the procedure follows the builtin contract instead:
+    ``fn(engine, process, args, now) -> cost`` receives the goal's
+    unconverted argument terms, binds and spawns through ``engine`` itself,
+    raises :class:`~repro.strand.arith.Suspend` to wait on variables, and
+    returns the virtual cost to charge.  Motifs ship their runtime
+    primitives this way (see ``motifs/reliable.py``).  The engine takes its
+    table of raw procedures when it is constructed.
     """
 
     name: str
@@ -194,6 +200,16 @@ class ForeignRegistry:
         )
         self._procs[(name, arity)] = proc
         return proc
+
+    def register_primitives(self, table: dict[tuple[str, int], Callable]) -> None:
+        """Register every ``(name, arity) -> fn`` entry of ``table`` as a raw
+        procedure — how a motif's ``foreign_setup`` ships its primitives."""
+        for (name, arity), fn in table.items():
+            self.register(name, arity, fn, raw=True)
+
+    def raw_table(self) -> dict[tuple[str, int], Callable]:
+        """``name/arity -> fn`` for every raw procedure."""
+        return {ind: fp.fn for ind, fp in self._procs.items() if fp.raw}
 
     def lookup(self, name: str, arity: int) -> ForeignProcedure | None:
         return self._procs.get((name, arity))

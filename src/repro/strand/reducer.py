@@ -1,7 +1,8 @@
 """The reducer half of the runtime core: what one reduction attempt does.
 
-A reduction attempt dispatches a process goal to a builtin, a foreign
-(Python) procedure, or a user procedure of the :class:`CompiledProgram`.
+A reduction attempt dispatches a process goal to a *primitive* (a builtin
+or a raw foreign procedure — a motif's runtime support), a foreign (Python)
+procedure, or a user procedure of the :class:`CompiledProgram`.
 User-rule selection goes through the compiled procedure's first-argument
 index (see :mod:`repro.strand.compile`): the committed rule is always the
 first *textually* matching one, exactly as the seed's linear scan chose, but
@@ -48,6 +49,10 @@ class Reducer:
         self.compiled = compiled
         self.foreign = foreign
         self.reduction_cost = reduction_cost
+        # Builtins and raw foreign procedures share one contract, one
+        # dispatch lookup, and one accounting rule: a primitive inherits its
+        # spawning rule's lib flag and motif tag.  Builtins win a name clash.
+        self.primitives = {**foreign.raw_table(), **BUILTINS}
 
     def execute(self, process: Process, now: float) -> float | None:
         """One reduction attempt.  Returns the cost, or ``None`` if the
@@ -67,10 +72,10 @@ class Reducer:
         profile = engine.profile
         if profile is not None:
             profile.begin(process.motif, indicator)
-        builtin = BUILTINS.get(indicator)
+        primitive = self.primitives.get(indicator)
         try:
-            if builtin is not None:
-                cost = builtin(engine, process, goal.args, now)
+            if primitive is not None:
+                cost = primitive(engine, process, goal.args, now)
             else:
                 foreign = self.foreign.lookup(*indicator)
                 if foreign is not None:
@@ -140,8 +145,8 @@ class Reducer:
                 f"body goal {inst_d!r} of {parent.describe()} is not callable"
             )
         indicator = inst_d.indicator
-        if indicator in BUILTINS:
-            # Builtins inherit the spawning rule's accounting and provenance.
+        if indicator in self.primitives:
+            # Primitives inherit the spawning rule's accounting and provenance.
             lib: bool | None = parent.lib
             motif: str | None = parent.motif
         elif indicator in self.engine.library:
@@ -155,9 +160,6 @@ class Reducer:
 
     def _call_foreign(self, fp, process: Process, goal: Struct, now: float) -> float:
         engine = self.engine
-        if fp.raw:
-            cost = fp.fn(engine, process, goal.args, now)
-            return self.reduction_cost if cost is None else float(cost)
         blocked: list[Var] = []
         values: list[Any] = []
         for idx in fp.inputs:

@@ -100,21 +100,14 @@ class TestLibraryParseCache:
 
 
 class TestBoundedApiCaches:
-    """The ``core.api`` stack/application factories are lru-bounded; repeated
+    """The ``core.api`` stack cache and application factory are lru-bounded; repeated
     high-level calls must still be pure cache hits (regression for the
     unbounded ``maxsize=None`` caches)."""
 
     def test_stack_caches_are_bounded(self):
         from repro.core import api
 
-        for factory in (
-            api._tr1_stack,
-            api._tr2_stack,
-            api._static_stack,
-            api._sequential_stack,
-            api._supervised_stack,
-        ):
-            assert factory.cache_info().maxsize == api._STACK_CACHE_SIZE
+        assert api._stack.cache_info().maxsize == api._STACK_CACHE_SIZE
         assert (
             api._empty_application.cache_info().maxsize
             == api._APPLICATION_CACHE_SIZE
@@ -126,12 +119,12 @@ class TestBoundedApiCaches:
 
         tree = paper_example_tree()
         api.reduce_tree(tree, eval_arith_node, processors=2, strategy="tr1")
-        stack_hits = api._tr1_stack.cache_info().hits
+        stack_hits = api._stack.cache_info().hits
         app_hits = api._empty_application.cache_info().hits
         apply_hits = MOTIF_STATS["apply_hits"]
         parses = MOTIF_STATS["library_parses"]
         api.reduce_tree(tree, eval_arith_node, processors=2, strategy="tr1")
-        assert api._tr1_stack.cache_info().hits == stack_hits + 1
+        assert api._stack.cache_info().hits == stack_hits + 1
         assert api._empty_application.cache_info().hits == app_hits + 1
         assert MOTIF_STATS["apply_hits"] == apply_hits + 1
         assert MOTIF_STATS["library_parses"] == parses
@@ -142,8 +135,20 @@ class TestBoundedApiCaches:
 
         tree = paper_example_tree()
         api.supervised_reduce_tree(tree, eval_arith_node, processors=2)
-        stack_hits = api._supervised_stack.cache_info().hits
+        stack_hits = api._stack.cache_info().hits
         apply_hits = MOTIF_STATS["apply_hits"]
         api.supervised_reduce_tree(tree, eval_arith_node, processors=2)
-        assert api._supervised_stack.cache_info().hits == stack_hits + 1
+        assert api._stack.cache_info().hits == stack_hits + 1
+        assert MOTIF_STATS["apply_hits"] == apply_hits + 1
+
+    def test_repeated_reliable_reduce_hits_the_caches(self):
+        from repro.core import api
+        from repro.apps.arithmetic import eval_arith_node, paper_example_tree
+
+        tree = paper_example_tree()
+        api.reliable_reduce_tree(tree, eval_arith_node, processors=2)
+        stack_hits = api._stack.cache_info().hits
+        apply_hits = MOTIF_STATS["apply_hits"]
+        api.reliable_reduce_tree(tree, eval_arith_node, processors=2)
+        assert api._stack.cache_info().hits == stack_hits + 1
         assert MOTIF_STATS["apply_hits"] == apply_hits + 1

@@ -8,7 +8,7 @@ from repro.apps.arithmetic import arithmetic_tree, eval_arith_node
 from repro.core.api import reduce_tree, reliable_reduce_tree, supervised_reduce_tree
 from repro.errors import DeadlockError, TransformError
 from repro.machine import FaultPlan, Machine, Partition
-from repro.motifs.reliable import ReliableTransformation, reliable_motif
+from repro.motifs.reliable import ReliableTransformation, reliable_motif, reliable_state
 from repro.strand.parser import parse_program
 from repro.strand.terms import deref
 
@@ -159,7 +159,7 @@ class TestReliableDelivery:
         )
         assert result.value == EXPECTED
         assert result.metrics.rel_unreachable > 0
-        assert result.engine.rel_state.unreachable
+        assert reliable_state(result.engine).unreachable
         with pytest.raises(DeadlockError):
             supervised_reduce_tree(
                 TREE, eval_arith_node, timeout=400.0,
@@ -176,7 +176,7 @@ class TestReliableDelivery:
             machine=Machine(4, seed=0, faults=FaultPlan(crash={3: 5.0})),
         )
         assert result.metrics.rel_unreachable > 0
-        unreachable_nodes = {node for _, node, _ in result.engine.rel_state.unreachable}
+        unreachable_nodes = {node for _, node, _ in reliable_state(result.engine).unreachable}
         assert 3 in unreachable_nodes
 
 

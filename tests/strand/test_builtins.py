@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.errors import StrandError
-from repro.strand.terms import Atom, deref, iter_list, term_eq
+from repro.errors import StrandError, UnknownProcedureError
+from repro.motifs.reliable import reliable_motif, reliable_state
+from repro.motifs.supervisor import SUPERVISE_PRIMITIVES
+from repro.strand.builtins import BUILTINS
+from repro.strand.foreign import ForeignRegistry
+from repro.strand.terms import Atom, Struct, deref, iter_list, term_eq
 from tests.helpers import run
 
 
@@ -166,3 +170,24 @@ class TestInstrumentation:
         procs = res.engine.machine.procs
         assert procs[0].peak_live_values == 2
         assert procs[0].live_values == 1
+
+
+class TestMotifPrimitivesLiveInTheirMotif:
+    """The Reliable and Supervise primitives are not builtins: each motif
+    registers them as raw foreign procedures through its foreign setup."""
+
+    def test_builtins_hold_no_motif_primitives(self):
+        assert not [name for name, _ in BUILTINS if name.startswith("rel_")]
+        assert not set(SUPERVISE_PRIMITIVES) & set(BUILTINS)
+
+    def test_rel_seq_without_the_motif_registry_is_unknown(self):
+        with pytest.raises(UnknownProcedureError):
+            run("p(T) :- rel_seq(2, T).", "p(T)")
+
+    def test_rel_seq_with_the_motif_registry(self):
+        registry = ForeignRegistry()
+        reliable_motif().foreign_setup(registry)
+        res = run("p(A, B) :- rel_seq(2, A), rel_seq(2, B).", "p(A, B)",
+                  foreign=registry)
+        assert term_eq(deref(res["B"]), Struct("sid", (1, 2, 2)))
+        assert reliable_state(res.engine).next_seq == {(1, 2): 2}
