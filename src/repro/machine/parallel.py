@@ -47,6 +47,12 @@ replicated as send-only stubs: a stub send is shipped to the owning shard,
 which splices it into the real stream with the original sender and send
 time, so delivery latency and wake accounting match the sequential backend.
 
+The shard hooks only move data.  Each worker's engine runs its own send
+accounting, spawn delivery and straggler abandonment, and the parent
+formats the shards' stuck processes with the scheduler's
+:func:`~repro.strand.scheduler.deadlock_report`, so both backends share one
+implementation of each.
+
 Guarantees and limits
 ---------------------
 * Same seed, same program: the parallel backend computes the same *result
@@ -80,7 +86,7 @@ from time import perf_counter
 from repro import errors as _errors
 from repro.errors import DeadlockError, StrandError
 from repro.machine.metrics import EpochTelemetry, MachineMetrics
-from repro.machine.processor import VirtualProcessor
+from repro.strand.scheduler import deadlock_report
 
 __all__ = ["run_parallel", "shard_of", "freeze", "thaw", "WireContext"]
 
@@ -99,6 +105,13 @@ EPOCH_REDUCTIONS = 2048
 #: 26 rounds to 7 and leaves less of each run to the difference between the
 #: two cores' speeds.
 MAX_EPOCH_REDUCTIONS = 16 * EPOCH_REDUCTIONS
+
+
+#: ``VirtualProcessor`` counters a shard may charge to its replica of a
+#: processor it does not own (applying a remote binding charges the
+#: binder's processor); the rest of a record lives only on the owner.
+CROSS_SHARD_COUNTERS = ("sends", "hops", "remote_bindings", "spawns",
+                        "suspensions", "wakeups")
 
 
 def shard_of(proc: int, workers: int) -> int:
@@ -273,32 +286,15 @@ class _ShardContext(WireContext):
         self.msg_seq += 1
         self.outbox.append((time, self.id, self.msg_seq, kind, payload))
 
-    def remote_spawn(self, goal, src: int, dst: int, now: float, lib: bool):
-        from repro.strand.engine import _msg_tag
-
-        machine = self.engine.machine
-        vp = machine.procs[src - 1]
-        vp.sends += 1
-        vp.hops += machine.hops(src, dst)
-        if machine.trace.enabled:
-            machine.trace.record(now, src, "send", f"spawn:{_msg_tag(goal)}->{dst}")
-        ready = now + machine.latency(src, dst)
+    # The engine has already accounted each send; these only ship it.
+    def remote_spawn(self, goal, dst: int, ready: float, lib: bool,
+                     now: float) -> None:
         self._push("spawn", now, (dst, ready, bool(lib), freeze(goal, self)))
-        return None
 
     def queue_bind(self, vid: tuple, value, proc: int, now: float) -> None:
         self._push("bind", now, (vid, proc, freeze(value, self)))
 
-    def remote_port_send(self, gid: tuple, msg, src: int, owner: int,
-                         now: float) -> None:
-        from repro.strand.engine import _msg_tag
-
-        machine = self.engine.machine
-        vp = machine.procs[src - 1]
-        vp.sends += 1
-        vp.hops += machine.hops(src, owner)
-        if machine.trace.enabled:
-            machine.trace.record(now, src, "send", f"port:{_msg_tag(msg)}->{owner}")
+    def remote_port_send(self, gid: tuple, msg, src: int, now: float) -> None:
         self._push("psend", now, (gid, src, freeze(msg, self)))
 
     def remote_port_close(self, gid: tuple, src: int, now: float) -> None:
@@ -307,18 +303,11 @@ class _ShardContext(WireContext):
 
 def _apply_message(shard: _ShardContext, msg: tuple) -> None:
     """Commit one routed message on its destination shard."""
-    from repro.strand.terms import Struct, deref
-
     time, _src_shard, _seq, kind, payload = msg
     engine = shard.engine
     if kind == "spawn":
         dst, ready, lib, ops = payload
-        goal = thaw(ops, shard)
-        goal_d = deref(goal)
-        indicator_lib = None
-        if type(goal_d) is Struct and goal_d.indicator in engine.reducer.primitives:
-            indicator_lib = lib
-        engine.spawn(goal, dst, ready=ready, lib=indicator_lib)
+        engine.deliver_spawn(thaw(ops, shard), dst, ready, lib)
     elif kind == "bind":
         vid, proc, ops = payload
         target = shard.replica(vid, "_Remote")
@@ -376,19 +365,10 @@ class _WorkerState:
             from repro.machine.trace import Trace
 
             machine.trace = Trace(enabled=True, limit=limit, ring=ring)
-        self.engine = StrandEngine(
-            program,
-            machine=machine,
-            foreign=foreign,
-            watched=options["watched"],
-            library=options["library"],
-            services=options["services"],
-            max_reductions=options["max_reductions"],
-            auto_close_ports=False,  # the parent coordinates quiescence
-            reduction_cost=options["reduction_cost"],
-            indexing=options["indexing"],
-            abandon_stragglers=options["abandon_stragglers"],
-        )
+        # The parent coordinates quiescence, so workers never close ports
+        # on their own.
+        self.engine = StrandEngine(program, machine, foreign,
+                                   **dict(options, auto_close_ports=False))
         self.shard = _ShardContext(shard_id, workers, self.engine)
         self.engine.shard = self.shard
         machine.trace.cause = 0
@@ -417,17 +397,14 @@ class _WorkerState:
 
     def quiesce_info(self, _payload) -> tuple:
         engine = self.engine
-        suspended = engine.scheduler.suspended
-        all_services = all(
-            p.goal.indicator in engine.services for p in suspended.values()
-        )
         open_ports = any(not port.closed for port in engine.ports)
         max_clock = max(
             (vp.clock for vp in engine.machine.procs
              if self.shard.owns(vp.number)),
             default=0.0,
         )
-        return (len(suspended), all_services, open_ports, max_clock)
+        return (len(engine.scheduler.suspended), engine.services_only(),
+                open_ports, max_clock)
 
     def close_ports(self, payload) -> tuple:
         start = perf_counter()
@@ -436,40 +413,11 @@ class _WorkerState:
         self.engine.close_all_ports(now)
         return self._drain(None, start)
 
-    def abandon(self, payload) -> int:
-        from repro.strand.scheduler import DONE
-
-        # Mirror of the sequential engine's straggler abandonment.
-        now = payload
-        engine = self.engine
-        scheduler = engine.scheduler
-        stats = engine.machine.fault_stats
-        count = 0
-        for key, process in sorted(
-            scheduler.suspended.items(),
-            key=lambda item: (item[1].proc, item[1].seq),
-        ):
-            del scheduler.suspended[key]
-            process.state = DONE
-            scheduler.live -= 1
-            stats.processes_abandoned += 1
-            engine.machine.trace.record(
-                now, process.proc, "fault", f"straggler:{process.goal.functor}"
-            )
-            count += 1
-        return count
+    def abandon(self, now: float) -> None:
+        self.engine.scheduler.abandon_suspended(now)
 
     def stuck(self, _payload) -> list:
-        from repro.strand.terms import Var, deref
-
-        out = []
-        for process in self.engine.scheduler.suspended.values():
-            waiting = [
-                v.name for v in (process.blocked_on or ())
-                if type(deref(v)) is Var
-            ]
-            out.append((process.proc, process.seq, process.describe(), waiting))
-        return out
+        return self.engine.scheduler.stuck()
 
     def finish(self, _payload) -> tuple:
         engine = self.engine
@@ -761,7 +709,9 @@ def run_parallel(engine) -> MachineMetrics:
                 break
             listings = pool.command(range(workers), "stuck",
                                     {w: None for w in range(workers)})
-            _raise_deadlock([item for sub in listings for item in sub])
+            raise DeadlockError(
+                deadlock_report([row for rows in listings for row in rows])
+            )
 
         # ---- merge: metrics, trace, output -----------------------------
         finals = pool.command(range(workers), "finish",
@@ -769,7 +719,10 @@ def run_parallel(engine) -> MachineMetrics:
     finally:
         pool.shutdown()
 
-    merged = [VirtualProcessor(number=i + 1) for i in range(processors)]
+    # Each processor's record is its owning shard's replica, plus the
+    # cross-shard counters the other shards charged to their replicas.
+    merged = [finals[shard_of(p, workers)][0][p - 1]
+              for p in range(1, processors + 1)]
     library_cost = 0.0
     user_cost = 0.0
     abandoned = 0
@@ -783,25 +736,10 @@ def run_parallel(engine) -> MachineMetrics:
         trace_batches.append((w, events, dropped))
         output.extend(out)
         for vp in procs:
-            m = merged[vp.number - 1]
-            # Cross-shard effects (sends, wake latency accounting) may be
-            # charged on any shard's replica of a processor; exclusive
-            # execution state lives only on the owner.
-            m.spawns += vp.spawns
-            m.sends += vp.sends
-            m.hops += vp.hops
-            m.remote_bindings += vp.remote_bindings
-            m.suspensions += vp.suspensions
-            m.wakeups += vp.wakeups
-            if shard_of(vp.number, workers) == w:
-                m.clock = vp.clock
-                m.busy = vp.busy
-                m.reductions = vp.reductions
-                m.live_tasks = vp.live_tasks
-                m.peak_live_tasks = vp.peak_live_tasks
-                m.tasks_started = vp.tasks_started
-                m.live_values = vp.live_values
-                m.peak_live_values = vp.peak_live_values
+            owner = merged[vp.number - 1]
+            if owner is not vp:
+                for name in CROSS_SHARD_COUNTERS:
+                    setattr(owner, name, getattr(owner, name) + getattr(vp, name))
 
     machine.procs = merged
     machine.library_cost = library_cost
@@ -839,18 +777,3 @@ def _merge_traces(trace, batches: list) -> None:
     trace.dropped += dropped
     trace._next_id = len(merged) + 1
 
-
-def _raise_deadlock(stuck: list) -> None:
-    """Merged deadlock report mirroring the sequential scheduler's."""
-    stuck.sort(key=lambda item: (item[0], item[1]))
-    shown = stuck[:12]
-    lines = []
-    for _proc, _seq, describe, waiting in shown:
-        suffix = f"  [waiting on {', '.join(waiting)}]" if waiting else ""
-        lines.append(describe + suffix)
-    more = len(stuck) - len(shown)
-    listing = "\n  ".join(lines) + (f"\n  ... and {more} more" if more > 0 else "")
-    raise DeadlockError(
-        f"computation deadlocked with {len(stuck)} suspended "
-        f"process(es):\n  {listing}"
-    )

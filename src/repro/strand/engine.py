@@ -44,7 +44,7 @@ from repro.strand.foreign import ForeignRegistry, to_python
 from repro.strand.parser import parse_query
 from repro.strand.program import Program
 from repro.strand.reducer import Reducer
-from repro.strand.scheduler import DONE, Process, Scheduler
+from repro.strand.scheduler import Process, Scheduler
 from repro.strand.streams import PortRef
 from repro.strand.terms import Atom, Cons, NIL, Struct, Term, Var, deref, term_eq
 
@@ -136,7 +136,6 @@ class StrandEngine:
         services: Iterable[tuple[str, int]] = (),
         max_reductions: int = 5_000_000,
         auto_close_ports: bool = True,
-        reduction_cost: float = 1.0,
         indexing: bool = True,
         abandon_stragglers: bool = False,
         profile=None,
@@ -149,7 +148,6 @@ class StrandEngine:
         self.services = set(services) | {("merge", 3)}
         self.max_reductions = max_reductions
         self.auto_close_ports = auto_close_ports
-        self.reduction_cost = reduction_cost
         self.abandon_stragglers = abandon_stragglers
         self.profile = profile
         # Shard context when this engine runs inside a parallel-backend
@@ -163,16 +161,13 @@ class StrandEngine:
             services=tuple(sorted(self.services)),
             max_reductions=max_reductions,
             auto_close_ports=auto_close_ports,
-            reduction_cost=reduction_cost,
             indexing=indexing,
             abandon_stragglers=abandon_stragglers,
         )
 
         self.compiled: CompiledProgram = compile_program(program, index=indexing)
         self.scheduler = Scheduler(self.machine, max_reductions)
-        self.reducer = Reducer(
-            self, self.compiled, self.foreign, reduction_cost=reduction_cost
-        )
+        self.reducer = Reducer(self, self.compiled, self.foreign)
 
         self.output: list[str] = []
         self.ports: list[PortRef] = []
@@ -230,34 +225,52 @@ class StrandEngine:
         Under a fault plan the message may be dropped (returns ``None`` —
         the task is simply lost, as on a real network) or delayed (the
         fate's inflated latency is used).  The send is accounted either
-        way: the message left the source."""
-        shard = self.shard
-        if shard is not None and not shard.owns(dst):
-            return shard.remote_spawn(goal, src, dst, now, lib)
+        way: the message left the source.  Inside a parallel-backend worker
+        a destination owned by another shard gets the task at the next
+        epoch barrier (also ``None`` here)."""
         latency = 0.0
         cause: int | None = None
         if src != dst:
-            fate, latency = self.machine.message_fate(
-                src, dst, now, duplicable=False
-            )
-            vp = self.machine.procs[src - 1]
-            vp.sends += 1
-            vp.hops += self.machine.hops(src, dst)
-            if self.profile is not None:
-                self.profile.message()
-            if self.machine.trace.enabled:
-                seid = self.machine.trace.record(
-                    now, src, "send", f"spawn:{_msg_tag(goal)}->{dst}"
-                )
-                cause = seid or None
+            fate, latency, cause = self._send(src, dst, now, "spawn", goal,
+                                              duplicable=False)
             if fate == "drop":
                 return None
-        indicator_lib = None
+            shard = self.shard
+            if shard is not None and not shard.owns(dst):
+                shard.remote_spawn(goal, dst, now + latency, lib, now)
+                return None
+        return self.deliver_spawn(goal, dst, now + latency, lib, cause)
+
+    def deliver_spawn(self, goal: Term, dst: int, ready: float, lib: bool,
+                      cause: int | None = None) -> Process:
+        """Spawn a task that arrived as a message: a primitive inherits the
+        sender's lib flag, any other goal is classified by its indicator."""
         goal_d = deref(goal)
+        indicator_lib = None
         if type(goal_d) is Struct and goal_d.indicator in self.reducer.primitives:
             indicator_lib = lib
-        return self.spawn(goal, dst, ready=now + latency, lib=indicator_lib,
+        return self.spawn(goal, dst, ready=ready, lib=indicator_lib,
                           cause=cause)
+
+    def _send(self, src: int, dst: int, now: float, kind: str, msg: Term,
+              duplicable: bool = True) -> tuple[str, float, int | None]:
+        """Account one explicit message ``src -> dst``: its fate under the
+        fault plan, the sender's ``sends`` and ``hops``, the profile and the
+        ``send`` trace event.  Returns ``(fate, latency, send event id)``."""
+        machine = self.machine
+        fate, latency = machine.message_fate(src, dst, now,
+                                             duplicable=duplicable)
+        vp = machine.procs[src - 1]
+        vp.sends += 1
+        vp.hops += machine.hops(src, dst)
+        if self.profile is not None:
+            self.profile.message()
+        cause: int | None = None
+        if machine.trace.enabled:
+            cause = machine.trace.record(
+                now, src, "send", f"{kind}:{_msg_tag(msg)}->{dst}"
+            ) or None
+        return fate, latency, cause
 
     # ------------------------------------------------------------------
     # Binding
@@ -336,41 +349,32 @@ class StrandEngine:
     def port_send(self, port: PortRef, msg: Term, src: int, now: float) -> None:
         if port.closed:
             raise StrandError(f"send on closed port {port!r}")
-        shard = self.shard
-        if shard is not None:
-            gid = shard.port_gid(port)
-            if gid[0] != shard.id:
-                # Stub of a port owned by another shard: account the send
-                # here (the message left this shard) and let the owner
-                # splice it into the real stream at the epoch barrier.
-                shard.remote_port_send(gid, msg, src, port.owner, now)
-                return
+        owner = port.owner
         deliver_at = now
         cause: int | None = None
-        if src != port.owner:
-            fate, latency = self.machine.message_fate(src, port.owner, now)
-            vp = self.machine.procs[src - 1]
-            vp.sends += 1
-            vp.hops += self.machine.hops(src, port.owner)
-            if self.profile is not None:
-                self.profile.message()
-            if self.machine.trace.enabled:
-                seid = self.machine.trace.record(
-                    now, src, "send", f"port:{_msg_tag(msg)}->{port.owner}"
-                )
-                cause = seid or None
+        fate = "deliver"
+        if src != owner:
+            fate, latency, cause = self._send(src, owner, now, "port", msg)
             if fate == "drop":
                 # Lost message: the stream tail does not advance, so the
                 # dropped element simply never appears — later sends splice
                 # in after the last delivered one.
                 return
             if fate == "delay":
-                deliver_at = now + (latency - self.machine.latency(src, port.owner))
-            if fate == "duplicate":
-                # At-least-once artefact: the element is spliced into the
-                # stream twice, back to back.  Receivers without dedup see
-                # the message twice.
-                self._port_append(port, msg, src, deliver_at, cause)
+                deliver_at = now + (latency - self.machine.latency(src, owner))
+        shard = self.shard
+        if shard is not None:
+            gid = shard.port_gid(port)
+            if gid[0] != shard.id:
+                # Stub of a port owned by another shard: the owner splices
+                # the message into the real stream at the epoch barrier.
+                shard.remote_port_send(gid, msg, src, now)
+                return
+        if fate == "duplicate":
+            # At-least-once artefact: the element is spliced into the
+            # stream twice, back to back.  Receivers without dedup see
+            # the message twice.
+            self._port_append(port, msg, src, deliver_at, cause)
         self._port_append(port, msg, src, deliver_at, cause)
 
     def _port_append(self, port: PortRef, msg: Term, src: int, at: float,
@@ -452,6 +456,13 @@ class StrandEngine:
                 return candidate
         return None
 
+    def services_only(self) -> bool:
+        """Whether every suspended process is a declared service."""
+        return all(
+            process.goal.indicator in self.services
+            for process in self.scheduler.suspended.values()
+        )
+
     def _try_quiesce(self) -> bool:
         """All runnable work is gone but suspensions remain.  If every
         suspended process is a declared service, close the ports so the
@@ -460,31 +471,14 @@ class StrandEngine:
         close (they may be stragglers of superseded supervision attempts),
         and whatever is still suspended after the close is abandoned
         rather than reported as a deadlock."""
+        now = max(p.clock for p in self.machine.procs)
         if not self._ports_closed and self.auto_close_ports:
-            releasable = self.abandon_stragglers or all(
-                process.goal.indicator in self.services
-                for process in self.scheduler.suspended.values()
-            )
-            if releasable:
-                now = max(p.clock for p in self.machine.procs)
+            if self.abandon_stragglers or self.services_only():
                 if self.close_all_ports(now) > 0:
                     self._quiesce_closes += 1
                     return True
         if self.abandon_stragglers and self.scheduler.suspended:
-            now = max(p.clock for p in self.machine.procs)
-            stats = self.machine.fault_stats
-            for key, process in sorted(
-                self.scheduler.suspended.items(),
-                key=lambda item: (item[1].proc, item[1].seq),
-            ):
-                del self.scheduler.suspended[key]
-                process.state = DONE
-                self.scheduler.live -= 1
-                stats.processes_abandoned += 1
-                self.machine.trace.record(
-                    now, process.proc, "fault",
-                    f"straggler:{process.goal.functor}",
-                )
+            self.scheduler.abandon_suspended(now)
             return True
         return False
 

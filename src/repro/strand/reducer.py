@@ -26,7 +26,10 @@ from repro.strand.foreign import ForeignRegistry, NotGround, from_python, to_pyt
 from repro.strand.scheduler import DONE, Process
 from repro.strand.terms import Atom, Struct, Term, Var, deref
 
-__all__ = ["Reducer"]
+__all__ = ["Reducer", "REDUCTION_COST"]
+
+#: Virtual time one user-rule reduction costs.
+REDUCTION_COST = 1.0
 
 
 class Reducer:
@@ -37,18 +40,11 @@ class Reducer:
     the reducer itself only reads program structure and charges costs.
     """
 
-    def __init__(
-        self,
-        engine,
-        compiled: CompiledProgram,
-        foreign: ForeignRegistry,
-        *,
-        reduction_cost: float = 1.0,
-    ):
+    def __init__(self, engine, compiled: CompiledProgram,
+                 foreign: ForeignRegistry):
         self.engine = engine
         self.compiled = compiled
         self.foreign = foreign
-        self.reduction_cost = reduction_cost
         # Builtins and raw foreign procedures share one contract, one
         # dispatch lookup, and one accounting rule: a primitive inherits its
         # spawning rule's lib flag and motif tag.  Builtins win a name clash.
@@ -129,7 +125,7 @@ class Reducer:
             if profile is not None:
                 profile.begin(rule_motif, goal.indicator)
         # Commit: spawn the body.
-        cost = self.reduction_cost
+        cost = REDUCTION_COST
         fresh: dict[int, Var] = {}
         done = now + cost
         for builder in crule.body:

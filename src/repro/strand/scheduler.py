@@ -17,13 +17,14 @@ monotone sequence number issued here.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.errors import DeadlockError, StrandError
 from repro.machine.simulator import Machine
 from repro.strand.terms import Struct, Var, deref
 
-__all__ = ["Process", "Scheduler", "RUNNABLE", "SUSPENDED", "DONE"]
+__all__ = ["Process", "Scheduler", "RUNNABLE", "SUSPENDED", "DONE",
+           "deadlock_report"]
 
 RUNNABLE = 0
 SUSPENDED = 1
@@ -375,35 +376,66 @@ class Scheduler:
                              cause=crash_evt)
 
     # ------------------------------------------------------------------
-    # Deadlock reporting
+    # Quiescence: stragglers and deadlock reporting
     # ------------------------------------------------------------------
+    def abandon_suspended(self, now: float) -> None:
+        """Drop every suspended process (the ``abandon_stragglers``
+        policy), in processor then spawn order, counting each as
+        ``processes_abandoned`` and tracing it as a straggler."""
+        stats = self.machine.fault_stats
+        trace = self.machine.trace
+        for process in sorted(self.suspended.values(),
+                              key=lambda p: (p.proc, p.seq)):
+            process.state = DONE
+            self.live -= 1
+            stats.processes_abandoned += 1
+            trace.record(now, process.proc, "fault",
+                         f"straggler:{process.goal.functor}")
+        self.suspended.clear()
+
+    def stuck(self) -> list[tuple]:
+        """One deadlock-report row per suspended process."""
+        return [_report_row(process) for process in self.suspended.values()]
+
     def deadlock(self) -> None:
-        """Raise :class:`DeadlockError` listing the suspended processes in a
-        deterministic order (processor, then spawn sequence) together with
-        the variables each is blocked on."""
-        stuck = sorted(self.suspended.values(), key=lambda p: (p.proc, p.seq))
-        shown = stuck[:12]
-        lines = []
-        for process in shown:
-            waiting = [
-                v.name for v in (process.blocked_on or ())
-                if type(deref(v)) is Var
-            ]
-            suffix = f"  [waiting on {', '.join(waiting)}]" if waiting else ""
-            lines.append(process.describe() + suffix)
-        more = len(stuck) - len(shown)
-        listing = "\n  ".join(lines) + (f"\n  ... and {more} more" if more > 0 else "")
-        orphan_note = ""
-        if self.orphans:
-            lost = sorted(self.orphans, key=lambda p: (p.proc, p.seq))
-            names = ", ".join(p.describe() for p in lost[:6])
-            extra = len(lost) - min(len(lost), 6)
-            orphan_note = (
-                f"\n{len(lost)} suspension(s) orphaned by crashed "
-                f"processor(s): {names}"
-                + (f", ... and {extra} more" if extra > 0 else "")
-            )
-        raise DeadlockError(
-            f"computation deadlocked with {len(stuck)} suspended "
-            f"process(es):\n  {listing}" + orphan_note
+        """Raise :class:`DeadlockError` for the suspended processes."""
+        raise DeadlockError(deadlock_report(
+            self.stuck(), [_report_row(process) for process in self.orphans]
+        ))
+
+
+def _report_row(process: Process) -> tuple:
+    """``(proc, seq, description, names of still-unbound blockers)``."""
+    waiting = [v.name for v in (process.blocked_on or ())
+               if type(deref(v)) is Var]
+    return (process.proc, process.seq, process.describe(), waiting)
+
+
+def deadlock_report(stuck: Sequence[tuple], orphans: Sequence[tuple] = ()) -> str:
+    """The deadlock listing over :meth:`Scheduler.stuck` rows, in a
+    deterministic order (processor, then spawn sequence), each with the
+    variables it is blocked on; ``orphans`` are rows for suspensions lost
+    with a crashed processor.  The parallel backend passes the rows of
+    every shard."""
+    stuck = sorted(stuck, key=lambda row: (row[0], row[1]))
+    shown = stuck[:12]
+    lines = []
+    for _proc, _seq, describe, waiting in shown:
+        suffix = f"  [waiting on {', '.join(waiting)}]" if waiting else ""
+        lines.append(describe + suffix)
+    more = len(stuck) - len(shown)
+    listing = "\n  ".join(lines) + (f"\n  ... and {more} more" if more > 0 else "")
+    orphan_note = ""
+    if orphans:
+        lost = sorted(orphans, key=lambda row: (row[0], row[1]))
+        names = ", ".join(row[2] for row in lost[:6])
+        extra = len(lost) - min(len(lost), 6)
+        orphan_note = (
+            f"\n{len(lost)} suspension(s) orphaned by crashed "
+            f"processor(s): {names}"
+            + (f", ... and {extra} more" if extra > 0 else "")
         )
+    return (
+        f"computation deadlocked with {len(stuck)} suspended "
+        f"process(es):\n  {listing}" + orphan_note
+    )

@@ -92,6 +92,17 @@ def virtual_counts(metrics):
             metrics.makespan)
 
 
+def on_backend(backend, processors):
+    """A seed-0 machine; the parallel one runs two workers."""
+    return Machine(processors, seed=0, backend=backend,
+                   workers=2 if backend == "parallel" else None)
+
+
+def processor_rows(machine, fields):
+    return [tuple(getattr(vp, name) for name in fields)
+            for vp in machine.procs]
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_dataflow_matches_sequential(self, workers):
@@ -134,6 +145,40 @@ class TestEquivalence:
                           backend="parallel", workers=2)
         assert seq.value == expected
         assert par.value == expected
+
+
+class TestCounterMerge:
+    """The merged per-processor record takes the owning shard's replica
+    whole and adds the cross-shard counters every shard may charge."""
+
+    FIELDS = ("sends", "hops", "remote_bindings", "spawns", "reductions")
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_spread_rows_match_sequential(self, workers):
+        seq_machine = Machine(4, seed=7)
+        run_spread(seq_machine)
+        par_machine = Machine(4, seed=7, backend="parallel", workers=workers)
+        run_spread(par_machine)
+        assert (processor_rows(par_machine, self.FIELDS)
+                == processor_rows(seq_machine, self.FIELDS))
+
+    def test_remote_binding_charged_to_binder(self):
+        # p2 binds V; the waiter on p1 wakes on shard 0, which charges the
+        # remote binding to its replica of p2.
+        src = """
+        go(Out) :- make(V) @ 2, use(V, Out).
+        make(V) :- V := v(5).
+        use(v(X), Out) :- Out := X.
+        """
+        fields = self.FIELDS + ("suspensions", "wakeups")
+        rows = []
+        for backend in ("sequential", "parallel"):
+            machine = on_backend(backend, 2)
+            result = run_query(parse_program(src), "go(Out)", machine=machine)
+            assert result.value("Out") == 5
+            rows.append(processor_rows(machine, fields))
+        assert rows[1] == rows[0]
+        assert rows[0][1][:3] == (0, 1, 1)  # p2: sends, hops, remote_bindings
 
 
 class TestDeterminism:
@@ -256,6 +301,27 @@ class TestErrors:
                       machine=Machine(2, seed=0, backend="parallel",
                                       workers=2))
 
+    @pytest.mark.parametrize("processors, body", [
+        (2, "wait(X, Out) @ 2, wait(Y, O2) @ 1"),
+        # Shard 0 owns p1 and p3, so the rows arrive out of processor order.
+        (3, "wait(X, Out) @ 3, wait(Y, O2) @ 2, wait(Z, O3) @ 1"),
+    ], ids=["two-shards", "rows-out-of-order"])
+    def test_deadlock_text_matches_sequential(self, processors, body):
+        src = f"go(Out) :- {body}.\nwait(done, Out) :- Out := yes."
+        reports = []
+        for backend in ("sequential", "parallel"):
+            machine = on_backend(backend, processors)
+            with pytest.raises(DeadlockError) as info:
+                run_query(parse_program(src), "go(Out)", machine=machine)
+            reports.append(str(info.value))
+        assert reports[0] == reports[1]
+        lines = reports[0].splitlines()
+        assert lines[0] == (f"computation deadlocked with {processors} "
+                            "suspended process(es):")
+        assert [line.split(":")[0].strip() for line in lines[1:]] == [
+            f"p{p}" for p in range(1, processors + 1)
+        ]
+
     def test_cross_shard_double_assignment(self):
         src = """
         go(X) :- a(X) @ 1, b(X) @ 2.
@@ -266,6 +332,34 @@ class TestErrors:
             run_query(parse_program(src), "go(X)",
                       machine=Machine(2, seed=0, backend="parallel",
                                       workers=2))
+
+
+class TestStragglers:
+    """``abandon_stragglers`` on the parallel backend runs the workers'
+    ``abandon`` command; it must drop exactly what the sequential engine
+    drops."""
+
+    SRC = """
+    go(Out) :- Out := 1, wait(X, _) @ 2.
+    wait(done, Out) :- Out := yes.
+    """
+    FIELDS = ("clock", "busy", "reductions", "suspensions", "wakeups",
+              "spawns", "sends", "hops", "remote_bindings")
+
+    def test_abandon_matches_sequential(self):
+        runs = []
+        for backend in ("sequential", "parallel"):
+            machine = on_backend(backend, 2)
+            result = run_query(parse_program(self.SRC), "go(Out)",
+                               machine=machine, abandon_stragglers=True)
+            runs.append((result, machine))
+        (seq, seq_machine), (par, par_machine) = runs
+        assert par.value("Out") == seq.value("Out") == 1
+        assert seq.metrics.processes_abandoned == 1
+        assert par.metrics.processes_abandoned == 1
+        assert seq_machine.procs[1].suspensions == 1
+        assert (processor_rows(par_machine, self.FIELDS)
+                == processor_rows(seq_machine, self.FIELDS))
 
 
 class TestUnsupportedLayers:
