@@ -18,11 +18,12 @@ multiplex onto the CPUs the container actually has, so on a single-core
 runner every parallel configuration *loses* (the epoch protocol and
 process startup are pure overhead).  The JSON therefore records
 ``cpu_count`` next to the curve; read the speedups against it.  Every
-parallel run also pays worker start-up — spawning the processes,
-``import repro`` in each, unpickling the program — of roughly 0.2–0.5 s on
-a 2-core host, which keeps the 2-worker speedup on this few-second
-workload well short of 2x.  A worker pool kept alive across runs would
-remove that cost; the backend does not have one yet.
+parallel run also pays worker start-up, recorded per row as
+``startup_s`` (median over the repeats): the wall seconds from starting
+the worker processes until each has unpickled the program.  On Linux the
+workers are forked and this is a few milliseconds; where they are spawned
+(other platforms, or a parent with live threads) each one also imports
+``repro``, roughly 0.2–0.5 s on a 2-core host.
 
 Run with ``python benchmarks/bench_parallel_backend.py [--smoke]`` or under
 pytest with the rest of the benchmark suite.  Only the full configuration
@@ -85,11 +86,14 @@ def run_bench(config) -> dict:
         ("parallel", workers) for workers in config["workers"]
     ]
     times: dict = {key: [] for key in configs}
+    startups: dict = {key: [] for key in configs}
     last: dict = {}
     for _ in range(config["repeats"]):
         for key in configs:
             value, metrics, elapsed = run_once(config, *key)
             times[key].append(elapsed)
+            if metrics.parallel is not None:
+                startups[key].append(metrics.parallel.startup_s)
             last[key] = (value, metrics)
     seq_value = last["sequential", None][0]
     seq_elapsed = statistics.median(times["sequential", None])
@@ -111,6 +115,8 @@ def run_bench(config) -> dict:
             "reductions": metrics.reductions, "equal": equal,
             "epochs": telemetry.epochs if telemetry else 0,
             "worker_epochs": telemetry.worker_epochs if telemetry else 0,
+            "startup_s": (round(statistics.median(startups[key]), 4)
+                          if startups[key] else 0.0),
         })
     payload = {
         "benchmark": "parallel_backend.speedup",
@@ -126,8 +132,8 @@ def run_bench(config) -> dict:
             "share the host's cores, so speedup > 1.3x at 4 workers "
             "requires a host with at least 4 cores; on fewer cores the "
             "curve records protocol+startup overhead instead.  Every "
-            "parallel run includes worker start-up (spawn, import, "
-            "unpickling the program)"
+            "parallel run includes worker start-up (startup_s: starting "
+            "the processes, forked on Linux, and unpickling the program)"
         ),
         "rows": rows,
     }
@@ -139,13 +145,13 @@ def render(payload: dict) -> str:
         "parallel backend  sequential-vs-N-workers wall-clock "
         f"(host cpu_count={payload['cpu_count']})",
         ["backend", "workers", "wall seconds", "speedup", "reductions",
-         "epochs", "worker-epochs", "equal results"],
+         "epochs", "worker-epochs", "startup s", "equal results"],
     )
     for row in payload["rows"]:
         table.add(row["backend"], row["workers"] or "-",
                   row["wall_seconds"], row["speedup"], row["reductions"],
                   row["epochs"] or "-", row["worker_epochs"] or "-",
-                  row["equal"])
+                  row["startup_s"] or "-", row["equal"])
     table.note(payload["note"])
     return table.render()
 

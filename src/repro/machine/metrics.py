@@ -68,8 +68,10 @@ class EpochTelemetry:
     and ``wire`` counts routed messages by kind.  These are deterministic
     for a given seed and worker count.  ``busy_s`` holds, per round, each
     worker's wall-clock seconds spent applying its inbox and draining
-    (``None`` for a worker that sat the round out); it varies from run to
-    run, so equality never compares it.
+    (``None`` for a worker that sat the round out), and ``startup_s`` the
+    wall-clock seconds from starting the worker processes until every one
+    had acknowledged ``init``.  Both vary from run to run, so equality never
+    compares them and ``summary()`` leaves them out.
     """
 
     epochs: int = 0
@@ -78,6 +80,7 @@ class EpochTelemetry:
     busy_s: list[tuple[float | None, ...]] = field(
         default_factory=list, compare=False, repr=False
     )
+    startup_s: float = field(default=0.0, compare=False, repr=False)
 
     def summary(self) -> str:
         wire = ", ".join(f"{kind}={count}" for kind, count in self.wire.items())

@@ -31,11 +31,15 @@ Synchronization is a BSP-style epoch protocol driven by the parent process:
    messages or paused work.
 
 Pause points depend only on reduction and message counts, never on
-wall-clock time, so repeated runs stay bit-deterministic.  Each run spawns
-fresh worker processes: start-up (process spawn, ``import repro``,
-unpickling the program) costs a few tenths of a second of wall-clock time
-and bounds the speedup short programs can show against the sequential
-backend.
+wall-clock time, so repeated runs stay bit-deterministic.  Each run starts
+fresh worker processes and joins them at the end.  On Linux, in a parent
+running a single thread, workers are forked: they inherit the imported
+``repro`` and start in a few milliseconds.  Elsewhere, and while the
+parent has other live threads (fork could copy a lock one of them holds),
+they are spawned, which costs a fresh interpreter and ``import repro`` —
+a few tenths of a second per run.  Either way the ``init`` command ships
+the pickled program, foreign registry and options over the pipe, so the
+same things must be picklable under both start methods.
 
 Cross-shard data travels as a flat, iterative *wire encoding* (see
 :func:`freeze`/:func:`thaw`) so 100k-element lists neither recurse the
@@ -70,8 +74,8 @@ Guarantees and limits
   (``profile=``) raise :class:`NotImplementedError` on this backend.
 * ``max_reductions`` is enforced per worker, not globally.
 * The returned metrics carry :class:`~repro.machine.metrics.EpochTelemetry`
-  (barrier rounds, active workers, routed messages by kind, and per-round
-  worker busy seconds).
+  (barrier rounds, active workers, routed messages by kind, per-round
+  worker busy seconds, and worker start-up seconds).
 * Merged output (``write/1``) is grouped by shard, not interleaved by
   virtual time; cross-shard trace events carry no causal link across the
   epoch barrier.
@@ -80,6 +84,8 @@ Guarantees and limits
 from __future__ import annotations
 
 import multiprocessing
+import sys
+import threading
 import traceback
 from time import perf_counter
 
@@ -433,9 +439,24 @@ class _WorkerState:
         )
 
 
+def _clear_profiling_hooks() -> None:
+    """Remove the profile and trace hooks a forked worker inherits from its
+    parent, so a parent running under ``cProfile`` (which uses
+    ``sys.monitoring`` from Python 3.12) does not profile its workers too."""
+    sys.setprofile(None)
+    sys.settrace(None)
+    monitoring = getattr(sys, "monitoring", None)
+    if monitoring is not None:
+        for tool in range(6):  # sys.monitoring's tool ids
+            if monitoring.get_tool(tool) is not None:
+                monitoring.set_events(tool, 0)
+
+
 def _worker_main(conn) -> None:
-    """Entry point of one worker process (spawn-safe: module level, state
-    rebuilt from the init command)."""
+    """Entry point of one worker process.  It is a module-level function,
+    so spawn can find it by name; the worker's state is built from the
+    init command under both start methods."""
+    _clear_profiling_hooks()
     state = _WorkerState()
     handlers = {
         "init": state.init,
@@ -468,13 +489,29 @@ def _worker_main(conn) -> None:
 # Parent coordinator
 # --------------------------------------------------------------------------
 
+def _start_method() -> str:
+    """``fork`` on Linux while this process runs a single thread, else
+    ``spawn``.  A forked child holds a copy of every lock another thread
+    held at the fork, and would block on it forever."""
+    if sys.platform == "linux" and threading.active_count() == 1:
+        return "fork"
+    return "spawn"
+
+
 class _WorkerPool:
     def __init__(self, workers: int):
-        ctx = multiprocessing.get_context("spawn")
+        from multiprocessing.connection import Connection
+        from multiprocessing.util import register_after_fork
+
+        ctx = multiprocessing.get_context(_start_method())
         self.conns = []
         self.procs = []
         for _ in range(workers):
             parent_conn, child_conn = ctx.Pipe()
+            # A forked worker inherits the parent's end of its own pipe and
+            # of every earlier worker's; closing them in the child lets it
+            # see EOF once the parent's end closes.  Spawn runs nothing.
+            register_after_fork(parent_conn, Connection.close)
             proc = ctx.Process(target=_worker_main, args=(child_conn,),
                                daemon=True)
             proc.start()
@@ -612,6 +649,7 @@ def run_parallel(engine) -> MachineMetrics:
         machine.trace.ring,
     )
     telemetry = EpochTelemetry()
+    started = perf_counter()
     pool = _WorkerPool(workers)
     try:
         init_payloads = {
@@ -629,6 +667,7 @@ def run_parallel(engine) -> MachineMetrics:
                 "engine configuration cannot be shipped to parallel workers "
                 f"(not picklable): {exc}"
             ) from exc
+        telemetry.startup_s = perf_counter() - started
 
         inboxes: list[list] = [[] for _ in range(workers)]
         _route(initial, workers, inboxes, [], telemetry.wire)

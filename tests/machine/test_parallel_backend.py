@@ -10,6 +10,11 @@ where a test pins them: CRUNCH's independent loops must reproduce the
 sequential counts exactly while crossing many epoch pause points.
 """
 
+import cProfile
+import sys
+import threading
+from contextlib import contextmanager
+
 import pytest
 
 from repro.errors import (
@@ -24,10 +29,12 @@ from repro.machine.parallel import (
     EPOCH_REDUCTIONS,
     MAX_EPOCH_REDUCTIONS,
     _next_budget,
+    _start_method,
+    _WorkerPool,
     shard_of,
 )
 from repro.machine.profile import MotifProfile
-from repro.strand import parse_program, run_query
+from repro.strand import ForeignRegistry, parse_program, run_query
 
 SPREAD = """
 go(N, Out) :- spread(N, Out).
@@ -236,8 +243,12 @@ class TestEpochBudget:
         assert first == second
         assert first.parallel == second.parallel
         assert first.parallel.wire == second.parallel.wire
-        # Wall-clock busy time is recorded but never compared.
+        # Wall-clock busy and start-up times are recorded but never
+        # compared, and the summary text leaves them out.
         assert len(first.parallel.busy_s) == first.parallel.epochs
+        assert first.parallel.startup_s > 0
+        assert first.parallel.startup_s != second.parallel.startup_s
+        assert first.summary() == second.summary()
 
     def test_both_workers_active_in_one_epoch(self, crunch_parallel):
         telemetry = crunch_parallel[0].metrics.parallel
@@ -360,6 +371,91 @@ class TestStragglers:
         assert seq_machine.procs[1].suspensions == 1
         assert (processor_rows(par_machine, self.FIELDS)
                 == processor_rows(seq_machine, self.FIELDS))
+
+
+@contextmanager
+def live_thread():
+    """Keep one background thread alive for the duration of the block."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join()
+
+
+def has_profile_hook(_tag):
+    """Foreign procedure: 1 if the calling process has a profile or trace
+    hook installed (``sys.monitoring`` events included), else 0."""
+    hooked = sys.getprofile() is not None or sys.gettrace() is not None
+    monitoring = getattr(sys, "monitoring", None)
+    if monitoring is not None:
+        hooked = hooked or any(
+            monitoring.get_tool(tool) is not None and monitoring.get_events(tool)
+            for tool in range(6)
+        )
+    return int(hooked)
+
+
+class TestStartMethod:
+    """Workers are forked on Linux while the parent runs one thread, and
+    spawned otherwise; both start methods must give the same run."""
+
+    def test_fork_on_linux_with_one_thread(self, monkeypatch):
+        assert threading.active_count() == 1
+        monkeypatch.setattr(sys, "platform", "linux")
+        assert _start_method() == "fork"
+
+    def test_spawn_on_other_platforms(self, monkeypatch):
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert _start_method() == "spawn"
+
+    def test_spawn_while_a_thread_is_alive(self):
+        with live_thread():
+            assert _start_method() == "spawn"
+
+    def test_spawned_run_matches_sequential(self):
+        fields = TestCounterMerge.FIELDS + ("suspensions", "wakeups")
+        seq_machine = Machine(4, seed=7)
+        seq = run_spread(seq_machine)
+        par_machine = Machine(4, seed=7, backend="parallel", workers=2)
+        with live_thread():
+            par = run_spread(par_machine)
+        assert par.value("Out") == seq.value("Out")
+        assert (processor_rows(par_machine, fields)
+                == processor_rows(seq_machine, fields))
+
+    def test_closed_parent_end_stops_workers(self):
+        # A worker must see EOF when the parent closes its end of the pipe,
+        # so no forked worker may keep a copy of any parent end open.
+        pool = _WorkerPool(2)
+        try:
+            for conn in pool.conns:
+                conn.close()
+            for proc in pool.procs:
+                proc.join(timeout=5)
+                assert not proc.is_alive()
+        finally:
+            pool.shutdown()
+
+    def test_workers_run_without_parent_profiler(self):
+        registry = ForeignRegistry()
+        registry.register("hooked", 2, has_profile_hook)
+        src = "go(Out) :- hooked(1, A) @ 1, hooked(2, B) @ 2, Out := [A, B]."
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            parent_hooked = has_profile_hook(0)
+            result = run_query(parse_program(src), "go(Out)",
+                               machine=Machine(2, backend="parallel",
+                                               workers=2),
+                               foreign=registry)
+        finally:
+            profiler.disable()
+        assert parent_hooked == 1
+        assert result.value("Out") == [0, 0]
 
 
 class TestUnsupportedLayers:
