@@ -27,7 +27,7 @@ from repro.errors import ReproError
 from repro.machine.metrics import MachineMetrics
 from repro.machine.simulator import Machine
 from repro.motifs.reliable import reliable_tree_reduce
-from repro.motifs.supervisor import supervised_tree_reduce
+from repro.motifs.supervisor import SuperviseTransformation, supervised_tree_reduce
 from repro.motifs.tree_reduce1 import (
     sequential_tree_motif,
     static_tree_motif,
@@ -172,6 +172,13 @@ def _run_tree(
         engine = StrandEngine(application, machine=machine)
         return RunResult(tree.value, machine.metrics(), {}, engine, applied)
     applied = motif.apply(application)
+    # Message loss can strand the rest of an attempt a Supervise retry has
+    # already superseded; with a Supervise layer in the stack, abandon such
+    # stragglers at quiescence instead of reporting a deadlock.
+    run_options.setdefault("abandon_stragglers", any(
+        isinstance(stage.transformation, SuperviseTransformation)
+        for stage in motif.stages()
+    ))
     if setup is not None:
         applied.foreign_setup.append(setup)
         applied.user_names.add("eval")
@@ -293,10 +300,10 @@ def reliable_reduce_tree(
     suppressed, unreachable reports), and destinations the protocol gave
     up on are listed in
     ``repro.motifs.reliable.reliable_state(result.engine).unreachable``.
-    The supervised variant runs with ``abandon_stragglers=True``: attempts
-    superseded by a Supervise retry may be permanently stranded by message
-    loss, and are abandoned at quiescence rather than reported as a
-    deadlock.
+    Like every stack with a Supervise layer, the supervised variant runs
+    with ``abandon_stragglers=True``: attempts superseded by a Supervise
+    retry may be permanently stranded by message loss, and are abandoned at
+    quiescence rather than reported as a deadlock.
     """
     if machine is None:
         machine = Machine(processors, topology=topology, seed=seed)
@@ -314,7 +321,7 @@ def reliable_reduce_tree(
         "(destination permanently unreachable? check "
         "reliable_state(engine).unreachable)",
         eval_cost, watched=[("eval", 4)], max_reductions=max_reductions,
-        abandon_stragglers=supervise, **engine_options,
+        **engine_options,
     )
 
 
@@ -344,7 +351,9 @@ def supervised_reduce_tree(
     carry the fault and supervision counters.  ``timeout`` must exceed the
     fault-free completion time of the largest supervised subcomputation, or
     healthy attempts will be retried (and ultimately degraded to
-    ``fallback``).
+    ``fallback``).  The run abandons stragglers of superseded attempts at
+    quiescence (``abandon_stragglers=True``), so message loss that strands
+    them does not read as a deadlock.
     """
     if machine is None:
         machine = Machine(processors, topology=topology, seed=seed)

@@ -22,10 +22,11 @@ a fresh stack per call), so this layer memoizes at two levels:
 * **library parsing** — :func:`library_from_source` parses each distinct
   library source once per process;
 * **motif outputs** — ``Motif.apply`` caches the transformed-and-linked
-  result keyed by the *identity and version* of the input program, so
-  re-applying a (composed) stack to the same application re-uses the same
-  output :class:`Program` object — which in turn lets the engine's
-  compile-layer cache (:func:`repro.strand.compile.compile_program`) hit.
+  result keyed by the *identity and version* of the input program, for the
+  last :data:`APPLY_CACHE_SIZE` inputs per motif, so re-applying a
+  (composed) stack to the same application re-uses the same output
+  :class:`Program` object — which in turn lets the engine's compile-layer
+  cache (:func:`repro.strand.compile.compile_program`) hit.
 
 Transformations are pure (they never mutate their input), so sharing cached
 programs is safe; callers receive a :meth:`AppliedMotif.fork` so appending
@@ -34,6 +35,7 @@ foreign hooks or user names never pollutes the cache.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -49,6 +51,7 @@ __all__ = [
     "AppliedMotif",
     "library_from_source",
     "MOTIF_STATS",
+    "APPLY_CACHE_SIZE",
     "reset_motif_stats",
 ]
 
@@ -61,6 +64,11 @@ MOTIF_STATS = {
 }
 
 _LIBRARY_CACHE: dict[tuple[str, str], Program] = {}
+
+#: Inputs each motif's application memo remembers (least recently used are
+#: evicted first), so a long-lived process applying a stack to ever-new
+#: programs holds a bounded number of them.
+APPLY_CACHE_SIZE = 256
 
 
 def reset_motif_stats() -> None:
@@ -166,11 +174,12 @@ class Motif:
                 rule.motif = name
         self.services = set(services)
         self.foreign_setup = foreign_setup
-        # Application memo: (id(input), program version) -> canonical
-        # AppliedMotif.  ``_apply_pins`` holds strong references to the
-        # keyed inputs so ids are never recycled under the cache.
-        self._apply_cache: dict[tuple[int, int], AppliedMotif] = {}
-        self._apply_pins: list[Program | AppliedMotif] = []
+        # Application memo, least recently used first: (id(input), program
+        # version) -> (input, canonical AppliedMotif).  Each entry holds its
+        # input, so an id is never recycled while its key is cached.
+        self._apply_cache: OrderedDict[
+            tuple[int, int], tuple[Program | AppliedMotif, AppliedMotif]
+        ] = OrderedDict()
 
     # -- application ---------------------------------------------------------
     def apply(self, application: Program | AppliedMotif) -> AppliedMotif:
@@ -192,13 +201,16 @@ class Motif:
             else application
         )
         key = (id(application), program.version)
-        hit = self._apply_cache.get(key)
+        cache = self._apply_cache
+        hit = cache.get(key)
         if hit is not None:
             MOTIF_STATS["apply_hits"] += 1
-            return hit
+            cache.move_to_end(key)
+            return hit[1]
         result = self._apply_impl(application)
-        self._apply_cache[key] = result
-        self._apply_pins.append(application)
+        cache[key] = (application, result)
+        if len(cache) > APPLY_CACHE_SIZE:
+            cache.popitem(last=False)
         return result
 
     def _apply_impl(self, application: Program | AppliedMotif) -> AppliedMotif:

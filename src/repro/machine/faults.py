@@ -227,8 +227,7 @@ class FaultStats:
     processes_abandoned: int = 0
     processes_migrated: int = 0
     orphaned_suspensions: int = 0
-    # Supervision motif accounting (bumped by the `after/2` builtin and the
-    # motif's own primitives).
+    # Supervision motif accounting (bumped by the motif's own primitives).
     sup_timeouts: int = 0
     sup_retries: int = 0
     sup_degraded: int = 0

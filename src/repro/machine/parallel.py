@@ -371,10 +371,7 @@ class _WorkerState:
             from repro.machine.trace import Trace
 
             machine.trace = Trace(enabled=True, limit=limit, ring=ring)
-        # The parent coordinates quiescence, so workers never close ports
-        # on their own.
-        self.engine = StrandEngine(program, machine, foreign,
-                                   **dict(options, auto_close_ports=False))
+        self.engine = StrandEngine(program, machine, foreign, **options)
         self.shard = _ShardContext(shard_id, workers, self.engine)
         self.engine.shard = self.shard
         machine.trace.cause = 0
@@ -672,7 +669,6 @@ def run_parallel(engine) -> MachineMetrics:
         inboxes: list[list] = [[] for _ in range(workers)]
         _route(initial, workers, inboxes, [], telemetry.wire)
         worker_next: list[float | None] = [None] * workers
-        ports_closed = False
         budget = EPOCH_REDUCTIONS
 
         def exchange(targets, cmd: str, payloads) -> None:
@@ -732,17 +728,15 @@ def run_parallel(engine) -> MachineMetrics:
             total_suspended = sum(info[0] for info in infos)
             if total_suspended == 0:
                 break
-            all_services = all(info[1] for info in infos)
-            any_open = any(info[2] for info in infos)
             now = max(info[3] for info in infos)
-            releasable = engine.abandon_stragglers or all_services
-            if (not ports_closed and engine.auto_close_ports and releasable
-                    and any_open):
-                ports_closed = True
+            action = engine.quiesce_action(all(info[1] for info in infos),
+                                           any(info[2] for info in infos))
+            if action == "close":
+                engine._ports_closed = True
                 exchange(range(workers), "close_ports",
                          {w: now for w in range(workers)})
                 continue
-            if engine.abandon_stragglers:
+            if action == "abandon":
                 pool.command(range(workers), "abandon",
                              {w: now for w in range(workers)})
                 break

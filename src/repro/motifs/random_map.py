@@ -21,7 +21,7 @@ from repro.core.pragmas import RANDOM
 from repro.errors import TransformError
 from repro.strand.program import Program, Rule
 from repro.strand.terms import Atom, Cons, NIL, Struct, Term, Var, deref
-from repro.transform.rewrite import strip_placement
+from repro.transform.rewrite import map_body_goals, strip_placement
 from repro.transform.transformation import Transformation
 from repro.motifs.server import server_motif
 
@@ -68,23 +68,21 @@ class RandTransformation(Transformation):
 
     def apply(self, program: Program) -> Program:
         annotated: list[tuple[str, int]] = []
-        out = Program(name=program.name)
-        for rule in program.rules():
-            renamed = rule.rename()
-            new_body: list[Term] = []
-            for goal in renamed.body:
-                inner, where = strip_placement(goal)
-                if where is not None and deref(where) is RANDOM:
-                    n, r = Var("N"), Var("R")
-                    new_body.append(Struct("nodes", (n,)))
-                    new_body.append(Struct("rand_num", (n, r)))
-                    new_body.append(Struct("send", (r, inner)))
-                    if inner.indicator not in annotated:
-                        annotated.append(inner.indicator)
-                else:
-                    new_body.append(goal)
-            out.add_rule(Rule(renamed.head, renamed.guards, new_body))
 
+        def ship(goal: Term, _rule: Rule) -> Term | list[Term]:
+            inner, where = strip_placement(goal)
+            if where is None or deref(where) is not RANDOM:
+                return goal
+            if inner.indicator not in annotated:
+                annotated.append(inner.indicator)
+            n, r = Var("N"), Var("R")
+            return [
+                Struct("nodes", (n,)),
+                Struct("rand_num", (n, r)),
+                Struct("send", (r, inner)),
+            ]
+
+        out = map_body_goals(program, ship)
         entries = list(annotated)
         for extra in self.extra_entries:
             if extra not in entries:

@@ -66,6 +66,7 @@ from repro.strand.builtins import need_bound, need_int
 from repro.strand.foreign import ForeignRegistry
 from repro.strand.program import Program, Rule
 from repro.strand.terms import Atom, Cons, Struct, Term, Var, deref, term_eq
+from repro.transform.rewrite import map_rules, rewrite_body
 from repro.transform.transformation import Transformation
 
 __all__ = [
@@ -316,9 +317,8 @@ class ReliableTransformation(Transformation):
     name = "reliable"
 
     def apply(self, program: Program) -> Program:
-        renamed = [rule.rename() for rule in program.rules()]
         wrapped: list[tuple[str, int]] = []
-        for rule in renamed:
+        for rule in program.rules():
             msg = _dispatch_shape(rule)
             if msg is not None and msg.indicator not in wrapped:
                 wrapped.append(msg.indicator)
@@ -327,43 +327,34 @@ class ReliableTransformation(Transformation):
                 "Reliable motif found no server/1 dispatch rules; compose "
                 "it above Rand (Server ∘ Reliable ∘ Rand ∘ …)"
             )
-        out = Program(name=program.name)
         covered = set(wrapped)
-        for rule in renamed:
-            if _dispatch_shape(rule) is not None:
-                out.add_rule(rule)
-                # A second rename keeps the twin's variables private.
-                out.add_rule(_wrapped_rule(rule.rename()))
-            else:
-                out.add_rule(self._rewrite_sends(rule, covered))
+
+        def rsend(goal: Term, _rule: Rule) -> Term:
+            inner = deref(goal)
+            if type(inner) is not Struct or inner.indicator != ("send", 2):
+                return goal
+            payload = deref(inner.args[1])
+            if type(payload) is Atom:
+                return goal  # halt-style control atoms stay raw
+            if type(payload) is Struct and payload.indicator not in covered:
+                raise TransformError(
+                    f"send of {payload.indicator[0]}/{payload.indicator[1]} "
+                    f"has no server dispatch rule to unwrap its rmsg; "
+                    f"Reliable cannot deliver it"
+                )
+            return Struct("rsend", inner.args)
+
+        def wrap(rule: Rule) -> Rule | list[Rule]:
+            if _dispatch_shape(rule) is None:
+                return rewrite_body(rule, rsend)
+            # A second rename keeps the twin's variables private.
+            return [rule, _wrapped_rule(rule.rename())]
+
+        out = map_rules(program, wrap)
         for indicator in wrapped:
             for helper in _helper_rules(indicator):
                 out.add_rule(helper)
         return out
-
-    def _rewrite_sends(self, rule: Rule, covered: set[tuple[str, int]]) -> Rule:
-        body: list[Term] = []
-        changed = False
-        for goal in rule.body:
-            inner = deref(goal)
-            if type(inner) is Struct and inner.indicator == ("send", 2):
-                payload = deref(inner.args[1])
-                if type(payload) is Atom:
-                    body.append(goal)  # halt-style control atoms stay raw
-                    continue
-                if type(payload) is Struct and payload.indicator not in covered:
-                    raise TransformError(
-                        f"send of {payload.indicator[0]}/{payload.indicator[1]} "
-                        f"has no server dispatch rule to unwrap its rmsg; "
-                        f"Reliable cannot deliver it"
-                    )
-                body.append(Struct("rsend", inner.args))
-                changed = True
-            else:
-                body.append(goal)
-        if not changed:
-            return rule
-        return Rule(rule.head, rule.guards, body)
 
 
 def reliable_motif(

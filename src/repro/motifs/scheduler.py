@@ -33,7 +33,7 @@ from repro.motifs.server import server_motif
 from repro.motifs.termination import short_circuit_motif
 from repro.strand.program import Program, Rule
 from repro.strand.terms import Struct, Term, Var, deref
-from repro.transform.rewrite import strip_placement
+from repro.transform.rewrite import map_body_goals, strip_placement
 from repro.transform.transformation import Transformation
 
 __all__ = [
@@ -190,29 +190,20 @@ class TaskSchedule(Transformation):
     def apply(self, program: Program) -> Program:
         annotated: list[tuple[str, int]] = []
         gated: list[tuple[str, int]] = []
-        out = Program(name=program.name)
-        for rule in program.rules():
-            renamed = rule.rename()
-            new_body: list[Term] = []
-            for goal in renamed.body:
-                inner, where = strip_placement(goal)
-                if where is not None and deref(where) is TASK:
-                    deps = self.dependencies.get(inner.indicator)
-                    if deps:
-                        new_body.append(
-                            Struct(_gate_name(inner.functor), inner.args)
-                        )
-                        if inner.indicator not in gated:
-                            gated.append(inner.indicator)
-                    else:
-                        new_body.append(
-                            Struct("send", (1, Struct("task", (inner,))))
-                        )
-                    if inner.indicator not in annotated:
-                        annotated.append(inner.indicator)
-                else:
-                    new_body.append(goal)
-            out.add_rule(Rule(renamed.head, renamed.guards, new_body))
+
+        def submit(goal: Term, _rule: Rule) -> Term:
+            inner, where = strip_placement(goal)
+            if where is None or deref(where) is not TASK:
+                return goal
+            if inner.indicator not in annotated:
+                annotated.append(inner.indicator)
+            if not self.dependencies.get(inner.indicator):
+                return Struct("send", (1, Struct("task", (inner,))))
+            if inner.indicator not in gated:
+                gated.append(inner.indicator)
+            return Struct(_gate_name(inner.functor), inner.args)
+
+        out = map_body_goals(program, submit)
         for name, arity in gated:
             out.add_rule(self._gate_rule(name, arity))
         for extra in self.outputs:

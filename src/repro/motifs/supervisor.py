@@ -60,7 +60,8 @@ from repro.strand.foreign import ForeignRegistry
 from repro.strand.program import Program, Rule
 from repro.strand.terms import Atom, Struct, Term, Var, deref, rename_term
 from repro.transform.callgraph import CallGraph
-from repro.transform.rewrite import strip_placement, with_placement
+from repro.transform.argthread import thread_call, thread_rules
+from repro.transform.rewrite import strip_placement
 from repro.transform.transformation import Transformation
 
 __all__ = [
@@ -152,7 +153,9 @@ def _sup_fresh(engine, process, args, now):
 
 def _sup_note(engine, process, args, now):
     """Zero-cost supervision accounting hook: ``sup_note(retry)`` /
-    ``sup_note(degrade)`` bump the machine's fault counters."""
+    ``sup_note(degrade)`` bump the machine's fault counters.  Each follows
+    exactly one expired attempt timer, so each also counts one supervision
+    timeout."""
     what = need_bound(args[0])
     name = what.name if type(what) is Atom else str(what)
     stats = engine.machine.fault_stats
@@ -162,6 +165,7 @@ def _sup_note(engine, process, args, now):
         stats.sup_degraded += 1
     else:
         raise StrandError(f"sup_note/1: unknown event {name!r}")
+    stats.sup_timeouts += 1
     engine.machine.trace.record(now, process.proc, "fault", f"sup:{name}")
     return 0.0
 
@@ -258,27 +262,12 @@ class SuperviseTransformation(Transformation):
                 f"supervise entry {self.entry[0]}/{self.entry[1]} does not "
                 f"reach any supervised goal"
             )
-        defined = set(program.indicators)
-        for name, arity in affected:
-            shifted = (name, arity + 1)
-            if shifted in defined and shifted not in affected:
-                raise TransformError(
-                    f"threading the monitor through {name}/{arity} would "
-                    f"collide with the existing procedure {name}/{arity + 1}"
-                )
-        out = Program(name=program.name)
-        for rule in program.rules():
-            renamed = rule.rename()
-            if renamed.indicator in affected:
-                out.add_rule(self._thread_rule(renamed, affected))
-            else:
-                out.add_rule(renamed)
+        out = thread_rules(program, affected, 1, self._thread_rule)
         self._add_entry(out)
         return out
 
     def _thread_rule(self, rule: Rule, affected: set[tuple[str, int]]) -> Rule:
         mon = Var("Mon")
-        head = Struct(rule.head.functor, (*rule.head.args, mon))
         body: list[Term] = []
         for goal in rule.body:
             inner, where = strip_placement(goal)
@@ -294,20 +283,18 @@ class SuperviseTransformation(Transformation):
                 out_var = inner.args[k - 1]
                 target = inner
                 if indicator in affected:
-                    target = Struct(inner.functor, (*inner.args, mon))
+                    target = thread_call(inner, None, mon)
                 body.append(
                     Struct(
                         "sup_watch",
                         (target, k, out_var, annotation.args[0], mon),
                     )
                 )
-                continue
-            if inner.indicator in affected:
-                threaded = Struct(inner.functor, (*inner.args, mon))
-                body.append(with_placement(threaded, where))
-                continue
-            body.append(goal)
-        return Rule(head, rule.guards, body)
+            elif inner.indicator in affected:
+                body.append(thread_call(inner, where, mon))
+            else:
+                body.append(goal)
+        return Rule(thread_call(rule.head, None, mon), rule.guards, body)
 
     def _add_entry(self, out: Program) -> None:
         # sup_run(A1..Ak) :-

@@ -25,7 +25,8 @@ from repro.errors import TransformError
 from repro.strand.program import Program, Rule
 from repro.strand.terms import Atom, Struct, Term, Var
 from repro.transform.callgraph import CallGraph
-from repro.transform.rewrite import strip_placement, with_placement
+from repro.transform.argthread import thread_call, thread_rules
+from repro.transform.rewrite import strip_placement
 from repro.transform.transformation import Transformation
 
 __all__ = ["ShortCircuit", "short_circuit_motif", "BOOT", "WATCH"]
@@ -84,28 +85,13 @@ class ShortCircuit(Transformation):
         return graph.reachable_from({self.entry}) & graph.defined
 
     def apply(self, program: Program) -> Program:
-        affected = self._affected(program)
-        defined = set(program.indicators)
-        for name, arity in affected:
-            shifted = (name, arity + 2)
-            if shifted in defined and shifted not in affected:
-                raise TransformError(
-                    f"short-circuit threading {name}/{arity} would collide "
-                    f"with the existing procedure {name}/{arity + 2}"
-                )
-        out = Program(name=program.name)
-        for rule in program.rules():
-            renamed = rule.rename()
-            if renamed.indicator in affected:
-                out.add_rule(self._thread_rule(renamed, affected))
-            else:
-                out.add_rule(renamed)
+        out = thread_rules(program, self._affected(program), 2, self._thread_rule)
         self._add_support(out)
         return out
 
     def _thread_rule(self, rule: Rule, affected: set[tuple[str, int]]) -> Rule:
         left, right = Var("L"), Var("R")
-        head = Struct(rule.head.functor, (*rule.head.args, left, right))
+        head = thread_call(rule.head, None, left, right)
         # First pass: find the segment-consuming goals.
         segmented: list[int] = []
         for idx, goal in enumerate(rule.body):
@@ -125,8 +111,7 @@ class ShortCircuit(Transformation):
             nxt = right if remaining == 0 else Var("M")
             inner, where = strip_placement(goal)
             if inner.indicator in affected:
-                threaded = Struct(inner.functor, (*inner.args, cursor, nxt))
-                body.append(with_placement(threaded, where))
+                body.append(thread_call(inner, where, cursor, nxt))
             else:  # sync output call: keep the call, add a wait segment
                 body.append(goal)
                 position = self.sync_outputs[inner.indicator]

@@ -35,14 +35,10 @@ from repro.strand.terms import (
     term_eq,
 )
 
-__all__ = ["BUILTINS", "is_builtin", "need_bound", "need_int"]
+__all__ = ["BUILTINS", "need_bound", "need_int"]
 
 # Populated at module bottom: (name, arity) -> callable.
 BUILTINS: dict[tuple[str, int], Callable] = {}
-
-
-def is_builtin(indicator: tuple[str, int]) -> bool:
-    return indicator in BUILTINS
 
 
 def _builtin(name: str, arity: int):
@@ -319,7 +315,6 @@ def _after(engine, process, args, now):
         )
         engine.bind(probe, Atom("timeout"), proc, fire_now,
                     cause=teid or None)
-        engine.machine.fault_stats.sup_timeouts += 1
 
     engine.scheduler.add_timer(now + delay, fire)
     return 1.0

@@ -119,10 +119,11 @@ class StrandEngine:
         already closed) are abandoned instead of raising
         :class:`DeadlockError`.  Message-loss faults can permanently strand
         the guts of a superseded supervision attempt — its retry already
-        resolved the output the stragglers were computing — so the
-        Reliable ∘ Supervise composition opts in.  Abandoned stragglers are
-        counted as ``processes_abandoned`` and traced.  Leave False (the
-        default) anywhere deadlock detection matters.
+        resolved the output the stragglers were computing — so the tree
+        runners switch it on for every stack with a Supervise layer.
+        Abandoned stragglers are counted as ``processes_abandoned`` and
+        traced.  Leave False (the default) anywhere deadlock detection
+        matters.
     """
 
     def __init__(
@@ -135,7 +136,6 @@ class StrandEngine:
         library: Iterable[tuple[str, int]] = (),
         services: Iterable[tuple[str, int]] = (),
         max_reductions: int = 5_000_000,
-        auto_close_ports: bool = True,
         indexing: bool = True,
         abandon_stragglers: bool = False,
         profile=None,
@@ -147,7 +147,6 @@ class StrandEngine:
         self.library = set(library)
         self.services = set(services) | {("merge", 3)}
         self.max_reductions = max_reductions
-        self.auto_close_ports = auto_close_ports
         self.abandon_stragglers = abandon_stragglers
         self.profile = profile
         # Shard context when this engine runs inside a parallel-backend
@@ -160,7 +159,6 @@ class StrandEngine:
             library=tuple(sorted(self.library)),
             services=tuple(sorted(self.services)),
             max_reductions=max_reductions,
-            auto_close_ports=auto_close_ports,
             indexing=indexing,
             abandon_stragglers=abandon_stragglers,
         )
@@ -463,24 +461,34 @@ class StrandEngine:
             for process in self.scheduler.suspended.values()
         )
 
+    def quiesce_action(self, services_only: bool,
+                       open_ports: bool) -> str | None:
+        """Both backends' quiescence policy, once runnable work is gone but
+        suspensions remain: ``"close"`` the open ports (once) when only
+        services are suspended, ``"abandon"`` the stragglers, or ``None``
+        for a deadlock.  With ``abandon_stragglers``, non-service
+        suspensions do not block the close (they may be stragglers of
+        superseded supervision attempts), and whatever is still suspended
+        after it is abandoned."""
+        if self.abandon_stragglers or services_only:
+            if open_ports and not self._ports_closed:
+                return "close"
+        if self.abandon_stragglers:
+            return "abandon"
+        return None
+
     def _try_quiesce(self) -> bool:
-        """All runnable work is gone but suspensions remain.  If every
-        suspended process is a declared service, close the ports so the
-        services can see end-of-stream and finish.  With
-        ``abandon_stragglers``, non-service suspensions do not block the
-        close (they may be stragglers of superseded supervision attempts),
-        and whatever is still suspended after the close is abandoned
-        rather than reported as a deadlock."""
+        """Apply :meth:`quiesce_action` to this engine's own state."""
         now = max(p.clock for p in self.machine.procs)
-        if not self._ports_closed and self.auto_close_ports:
-            if self.abandon_stragglers or self.services_only():
-                if self.close_all_ports(now) > 0:
-                    self._quiesce_closes += 1
-                    return True
-        if self.abandon_stragglers and self.scheduler.suspended:
+        action = self.quiesce_action(
+            self.services_only(), any(not port.closed for port in self.ports)
+        )
+        if action == "close":
+            self.close_all_ports(now)
+            self._quiesce_closes += 1
+        elif action == "abandon":
             self.scheduler.abandon_suspended(now)
-            return True
-        return False
+        return action is not None
 
 
 def run_query(

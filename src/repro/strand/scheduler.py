@@ -220,19 +220,6 @@ class Scheduler:
             if not on_quiesce():
                 self.deadlock()
 
-    def next_time(self) -> float | None:
-        """Earliest pending virtual time (timer or event marker), or ``None``
-        when nothing is scheduled.  Markers may be stale, so this is a lower
-        bound — good enough for the parallel backend's epoch horizons."""
-        best: float | None = None
-        if self.timers:
-            best = self.timers[0][0]
-        if self.events:
-            t = self.events[0][0]
-            if best is None or t < best:
-                best = t
-        return best
-
     def drain(self, execute: Callable, horizon: float | None = None,
               floor: int = 0) -> float | None:
         """Process timers and events in virtual-time order.

@@ -6,7 +6,6 @@ from repro.transform.callgraph import CallGraph
 from repro.transform.optimize import PruneUnreachable, prune_unreachable
 from repro.transform.rewrite import (
     body_calls,
-    collect_goals,
     goal_indicator,
     goal_struct,
     map_body_goals,
@@ -38,5 +37,4 @@ __all__ = [
     "map_body_goals",
     "map_rules",
     "body_calls",
-    "collect_goals",
 ]

@@ -16,6 +16,11 @@ Only *top-level body goals* are calls; operation names appearing inside
 data terms (e.g. a ``reduce(T, V)`` message under ``send``) are data and
 are left untouched — this distinction is what makes the transformation
 compose correctly.
+
+:func:`thread_rules` is the loop underneath, shared with every motif that
+threads arguments (the Supervise motif's monitor, the termination motif's
+short circuit): it refuses arity-shift collisions and rewrites each rule of
+an affected procedure with the motif's own per-rule function.
 """
 
 from __future__ import annotations
@@ -26,10 +31,10 @@ from repro.errors import TransformError
 from repro.strand.program import Program, Rule
 from repro.strand.terms import Struct, Term, Var
 from repro.transform.callgraph import CallGraph
-from repro.transform.rewrite import strip_placement, with_placement
+from repro.transform.rewrite import map_rules, strip_placement, with_placement
 from repro.transform.transformation import Transformation
 
-__all__ = ["ThreadArgument", "OpRewriter"]
+__all__ = ["ThreadArgument", "OpRewriter", "thread_call", "thread_rules"]
 
 #: Rewrites one operation call: ``(op_goal, threaded_var) -> goals``.
 OpRewriter = Callable[[Struct, Var], list[Term]]
@@ -84,33 +89,10 @@ class ThreadArgument(Transformation):
         return affected & graph.defined
 
     def apply(self, program: Program) -> Program:
-        affected = self.affected(program)
-        if not affected:
-            return program.copy()
-        # Arity-shift collision check: threading p/k to p/k+1 while a
-        # *different*, unthreaded procedure p/k+1 exists would silently
-        # merge the two.  (If p/k+1 is itself threaded, both shift and no
-        # merge occurs.)
-        defined = set(program.indicators)
-        for name, arity in affected:
-            shifted = (name, arity + 1)
-            if shifted in defined and shifted not in affected:
-                raise TransformError(
-                    f"threading {name}/{arity} would collide with the "
-                    f"existing procedure {name}/{arity + 1}; rename one"
-                )
-        out = Program(name=program.name)
-        for rule in program.rules():
-            out.add_rule(self._rewrite_rule(rule.rename(), affected))
-        return out
+        return thread_rules(program, self.affected(program), 1, self._thread_rule)
 
-    def _rewrite_rule(self, rule: Rule, affected: set[tuple[str, int]]) -> Rule:
-        if rule.indicator not in affected:
-            # An unaffected rule cannot call an affected procedure (it would
-            # then be affected itself), so it passes through unchanged.
-            return rule
+    def _thread_rule(self, rule: Rule, affected: set[tuple[str, int]]) -> Rule:
         dt = Var(self.var_hint)
-        head = Struct(rule.head.functor, (*rule.head.args, dt))
         body: list[Term] = []
         for goal in rule.body:
             inner, where = strip_placement(goal)
@@ -123,10 +105,46 @@ class ThreadArgument(Transformation):
                         f"{indicator[0]}/{indicator[1]} is not supported"
                     )
                 body.extend(rewriter(inner, dt))
-                continue
-            if indicator in affected:
-                inner = Struct(inner.functor, (*inner.args, dt))
-                body.append(with_placement(inner, where))
-                continue
-            body.append(goal)
-        return Rule(head, rule.guards, body)
+            elif indicator in affected:
+                body.append(thread_call(inner, where, dt))
+            else:
+                body.append(goal)
+        return Rule(thread_call(rule.head, None, dt), rule.guards, body)
+
+
+def thread_call(goal: Struct, where: Term | None, *args: Term) -> Term:
+    """``goal`` with ``args`` appended, its placement ``where`` re-attached."""
+    return with_placement(Struct(goal.functor, (*goal.args, *args)), where)
+
+
+def thread_rules(
+    program: Program,
+    affected: set[tuple[str, int]],
+    extra: int,
+    thread_rule: Callable[[Rule, set[tuple[str, int]]], Rule],
+) -> Program:
+    """Thread ``extra`` new arguments through the ``affected`` procedures.
+
+    Each rule of an affected procedure is replaced by
+    ``thread_rule(rule, affected)`` of a fresh-variable copy, which appends
+    the arguments to the head and to every call of an affected procedure.
+    Other rules pass through with their provenance: they cannot call an
+    affected procedure, or they would be affected themselves.
+
+    Refuses when shifting ``p/k`` to ``p/k+extra`` would merge it with a
+    different, unthreaded procedure of that arity (when that one is
+    threaded too, both shift and nothing merges).
+    """
+    defined = set(program.indicators)
+    for name, arity in sorted(affected):
+        shifted = (name, arity + extra)
+        if shifted in defined and shifted not in affected:
+            raise TransformError(
+                f"threading {name}/{arity} would collide with the existing "
+                f"procedure {name}/{arity + extra}; rename one"
+            )
+    return map_rules(
+        program,
+        lambda rule: thread_rule(rule, affected)
+        if rule.indicator in affected else rule,
+    )

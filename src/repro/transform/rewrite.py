@@ -19,10 +19,10 @@ __all__ = [
     "goal_indicator",
     "strip_placement",
     "with_placement",
+    "rewrite_body",
     "map_body_goals",
     "map_rules",
     "body_calls",
-    "collect_goals",
 ]
 
 
@@ -61,26 +61,38 @@ def goal_indicator(goal: Term) -> tuple[str, int]:
     return inner.indicator
 
 
+def rewrite_body(
+    rule: Rule, fn: Callable[[Term, Rule], Term | list[Term]]
+) -> Rule:
+    """Rewrite each body goal of ``rule`` with ``fn(goal, rule)``, which
+    returns a replacement goal or a list of goals (an empty list deletes
+    the goal).  When every call returns its goal object unchanged, ``rule``
+    itself comes back, provenance tag included; a rewritten rule carries no
+    tag, so motif application stamps it with the rewriting layer.  Guards
+    are left alone — motif transformations in the paper only restructure
+    bodies."""
+    body: list[Term] = []
+    changed = False
+    for goal in rule.body:
+        result = fn(goal, rule)
+        if isinstance(result, list):
+            body.extend(result)
+            changed = True
+        else:
+            body.append(result)
+            changed = changed or result is not goal
+    if not changed:
+        return rule
+    return Rule(rule.head, rule.guards, body)
+
+
 def map_body_goals(
     program: Program,
     fn: Callable[[Term, Rule], Term | list[Term]],
     name: str | None = None,
 ) -> Program:
-    """Rewrite every body goal.  ``fn`` returns a replacement goal or a list
-    of goals (empty list deletes the goal).  Guards are left alone — motif
-    transformations in the paper only restructure bodies."""
-    out = Program(name=name or program.name)
-    for rule in program.rules():
-        renamed = rule.rename()
-        new_body: list[Term] = []
-        for goal in renamed.body:
-            result = fn(goal, renamed)
-            if isinstance(result, list):
-                new_body.extend(result)
-            else:
-                new_body.append(result)
-        out.add_rule(Rule(renamed.head, renamed.guards, new_body))
-    return out
+    """:func:`rewrite_body` over every rule (each a fresh-variable copy)."""
+    return map_rules(program, lambda rule: rewrite_body(rule, fn), name)
 
 
 def map_rules(
@@ -104,17 +116,3 @@ def body_calls(rule: Rule) -> Iterable[tuple[str, int]]:
     """Indicators of every body goal (looking through placements)."""
     for goal in rule.body:
         yield goal_indicator(goal)
-
-
-def collect_goals(
-    program: Program, predicate: Callable[[Struct], bool]
-) -> list[tuple[Rule, Struct]]:
-    """All ``(rule, goal)`` pairs whose (placement-stripped) goal satisfies
-    the predicate."""
-    hits: list[tuple[Rule, Struct]] = []
-    for rule in program.rules():
-        for goal in rule.body:
-            inner, _ = strip_placement(goal)
-            if predicate(inner):
-                hits.append((rule, inner))
-    return hits

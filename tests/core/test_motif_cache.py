@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.api import as_application
 from repro.core.motif import (
+    APPLY_CACHE_SIZE,
     MOTIF_STATS,
     library_from_source,
     reset_motif_stats,
@@ -152,3 +153,28 @@ class TestBoundedApiCaches:
         api.reliable_reduce_tree(tree, eval_arith_node, processors=2)
         assert api._stack.cache_info().hits == stack_hits + 1
         assert MOTIF_STATS["apply_hits"] == apply_hits + 1
+
+
+class TestBoundedApplicationMemo:
+    def test_fresh_programs_do_not_grow_the_memo_past_its_bound(self):
+        from repro.strand.parser import parse_program
+
+        stack = tree_reduce_1()
+        for i in range(APPLY_CACHE_SIZE + 44):
+            stack.apply(parse_program(EVAL_SOURCE, name=f"fresh-{i}"))
+        for motif in [stack, *stack.stages()]:
+            assert len(motif._apply_cache) <= APPLY_CACHE_SIZE
+
+    def test_recently_used_input_survives_eviction(self):
+        from repro.strand.parser import parse_program
+
+        stack = tree_reduce_1()
+        kept = parse_program(EVAL_SOURCE, name="kept")
+        first = stack.apply(kept)
+        for i in range(APPLY_CACHE_SIZE + 10):
+            stack.apply(parse_program(EVAL_SOURCE, name=f"filler-{i}"))
+            if i % 64 == 0:
+                stack.apply(kept)  # a hit moves it to the recent end
+        hits = MOTIF_STATS["apply_hits"]
+        assert stack.apply(kept).program is first.program
+        assert MOTIF_STATS["apply_hits"] == hits + 1

@@ -241,7 +241,9 @@ class TestDeadProcessorTimers:
         machine = Machine(4, seed=0, faults=FaultPlan(crash={3: 50.0}))
         result = run_query(program, "arm(P)", machine=machine)
         assert str(deref(result["P"])) == "timeout"
-        assert machine.fault_stats.sup_timeouts == 1
+        # A bare timer is not supervision: only the Supervise motif counts
+        # supervision timeouts.
+        assert machine.fault_stats.sup_timeouts == 0
 
 
 class TestFaultStats:

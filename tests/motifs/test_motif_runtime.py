@@ -63,7 +63,7 @@ class TestReliableGolden:
     def test_counters(self):
         result, _ = _reliable_run()
         assert result.metrics.counters() == _counters(
-            messages_duplicated=1, partition_dropped=6, sup_timeouts=10,
+            messages_duplicated=1, partition_dropped=6,
             rel_retransmits=6, rel_acks=15, rel_duplicates_suppressed=1,
         )
 
@@ -100,7 +100,8 @@ class TestSupervisedGolden:
         _, profile = _supervised_run()
         assert profile.by_motif() == {
             "server[ports]": [1310, 232, 84, 1273.0],
-            "user": [664, 247, 44, 627.0],
+            "supervise": [594, 107, 44, 557.0],
+            "user": [70, 140, 0, 70.0],
         }
 
     def test_trace(self):
@@ -108,5 +109,5 @@ class TestSupervisedGolden:
         count, digest = _trace_shape(result)
         assert count == 6146
         assert digest == (
-            "79f6cb50b0d68c1628b58e980aa0dc0345c7395c95688fc81ae3825e265e6f16"
+            "e8ed3400020811442a1b62f4474c1dd37e0f76fc08ee1939f86b5874daa1d71f"
         )

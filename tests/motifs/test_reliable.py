@@ -151,7 +151,8 @@ class TestReliableDelivery:
         # protocol cannot protect (it predates the rsend rewrite): the
         # never-booted server is reported unreachable and Supervise
         # re-dispatches the stranded attempts elsewhere.  The supervised
-        # stack *without* Reliable deadlocks outright.
+        # stack without Reliable gets there too, by retrying what the
+        # drops severed and abandoning the stragglers.
         plan = FaultPlan(drop_rate=0.2)
         result = reliable_reduce_tree(
             TREE, eval_arith_node, supervise=True, sup_timeout=400.0,
@@ -160,11 +161,12 @@ class TestReliableDelivery:
         assert result.value == EXPECTED
         assert result.metrics.rel_unreachable > 0
         assert reliable_state(result.engine).unreachable
-        with pytest.raises(DeadlockError):
-            supervised_reduce_tree(
-                TREE, eval_arith_node, timeout=400.0,
-                machine=Machine(4, seed=2, faults=plan),
-            )
+        bare = supervised_reduce_tree(
+            TREE, eval_arith_node, timeout=400.0,
+            machine=Machine(4, seed=2, faults=plan),
+        )
+        assert bare.value == EXPECTED
+        assert bare.metrics.processes_abandoned > 0
 
     def test_crashed_destination_reported_unreachable(self):
         # Processor 3 dies before the computation reaches it: the retry

@@ -31,12 +31,6 @@ class TestQuiescence:
         with pytest.raises(DeadlockError):
             run_query(program, "go(Out)", machine=Machine(1))
 
-    def test_auto_close_disabled_deadlocks(self):
-        program = parse_program(self.SERVER)
-        with pytest.raises(DeadlockError):
-            run_query(program, "go(Out)", machine=Machine(1),
-                      services=[("loop", 3)], auto_close_ports=False)
-
     def test_non_service_suspension_still_deadlocks(self):
         # A stuck non-service process prevents the port-close shortcut.
         program = parse_program(self.SERVER + "\nstuck(X) :- X > 0 | t.\nt.")

@@ -95,11 +95,27 @@ class TestQuiescenceCounter:
         assert result["Out"] == 2
         assert result.engine._quiesce_closes == 0
 
-    def test_services_only_with_auto_close_disabled_deadlocks(self):
+    @pytest.mark.parametrize(
+        "abandon, services_only, open_ports, closed, action", [
+            (False, True, True, False, "close"),
+            (False, True, False, False, None),
+            (False, False, True, False, None),
+            (False, True, True, True, None),
+            (True, False, True, False, "close"),
+            (True, False, False, False, "abandon"),
+            (True, True, True, True, "abandon"),
+        ])
+    def test_quiesce_action(self, abandon, services_only, open_ports,
+                            closed, action):
+        # The one decision both backends take at global quiescence.
+        engine = StrandEngine(parse_program("p."), abandon_stragglers=abandon)
+        engine._ports_closed = closed
+        assert engine.quiesce_action(services_only, open_ports) == action
+
+    def test_undeclared_service_deadlock_lists_the_loop(self):
         program = parse_program(self.SERVER)
         with pytest.raises(DeadlockError) as err:
-            run_query(program, "go(Out)", machine=Machine(1),
-                      services=[("loop", 3)], auto_close_ports=False)
+            run_query(program, "go(Out)", machine=Machine(1))
         # The stuck service and its stream variable are reported.
         assert "loop(" in str(err.value)
         assert "waiting on" in str(err.value)

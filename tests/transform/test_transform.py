@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import TransformError
+from repro.motifs.supervisor import SuperviseTransformation
+from repro.motifs.termination import ShortCircuit
 from repro.strand.parser import parse_program, parse_term
 from repro.strand.pretty import format_program
 
@@ -71,6 +73,22 @@ class TestRewriteHelpers:
         program = parse_program("p(1).")
         out = map_rules(program, lambda r: [r, r])
         assert out.rule_count() == 2
+
+    def test_map_body_goals_keeps_tag_of_unchanged_rules(self):
+        program = parse_program("p :- q.\nq :- r.")
+        for rule in program.rules():
+            rule.motif = "lib"
+        out = map_body_goals(
+            program,
+            lambda g, rule: Atom("s") if goal_indicator(g) == ("q", 0) else g,
+        )
+        assert [r.motif for r in out.rules()] == [None, "lib"]
+
+    def test_map_body_goals_list_counts_as_change(self):
+        program = parse_program("p :- q.")
+        next(program.rules()).motif = "lib"
+        out = map_body_goals(program, lambda g, rule: [g])
+        assert next(out.rules()).motif is None
 
 
 class TestCallGraph:
@@ -271,3 +289,31 @@ class TestPruneUnreachable:
                                             value))))
         run_applied(applied, goal, Machine(3, seed=1))
         assert deref(value) == 24
+
+
+class TestSharedThreader:
+    """Every argument-threading motif refuses an arity-shift collision
+    with the same error, raised by ``thread_rules``."""
+
+    @pytest.mark.parametrize("transformation, source, message", [
+        (
+            lambda: ThreadArgument(ops={("send", 2): _send_rewriter}),
+            "p(X) :- send(1, X).\np(X, Y) :- Y := X.",
+            "threading p/1 would collide with the existing procedure p/2",
+        ),
+        (
+            lambda: SuperviseTransformation({("work", 2): 2}, entry=("main", 2)),
+            "main(X, Out) :- work(X, Out) @ supervised(2).\n"
+            "main(X, Out, Extra) :- Out := X, Extra := X.",
+            "threading main/2 would collide with the existing procedure main/3",
+        ),
+        (
+            lambda: ShortCircuit(entry=("go", 1)),
+            "go(X) :- X := 1.\ngo(X, L, R) :- X := L, L := R.",
+            "threading go/1 would collide with the existing procedure go/3",
+        ),
+    ], ids=["server", "supervise", "short-circuit"])
+    def test_collision_refused(self, transformation, source, message):
+        with pytest.raises(TransformError) as err:
+            transformation().apply(parse_program(source))
+        assert str(err.value) == f"{message}; rename one"
