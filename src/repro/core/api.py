@@ -205,7 +205,6 @@ def reduce_tree(
     server_library: str = "ports",
     termination: bool = True,
     eval_cost: float | Callable[..., float] = 1.0,
-    watch_eval: bool = True,
     max_reductions: int = 5_000_000,
     **engine_options: Any,
 ) -> RunResult:
@@ -263,7 +262,7 @@ def reduce_tree(
     return _run_tree(
         tree, evaluator, machine, motif, goal,
         f"tree reduction under {strategy!r} finished without binding the result",
-        eval_cost, watched=[("eval", 4)] if watch_eval else [],
+        eval_cost, watched=[("eval", 4)],
         max_reductions=max_reductions, **engine_options,
     )
 

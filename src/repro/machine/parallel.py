@@ -28,7 +28,17 @@ Synchronization is a BSP-style epoch protocol driven by the parent process:
 3. each worker applies its inbox in a deterministic order — sorted by
    ``(virtual send time, source shard, per-shard message sequence)`` — and
    the next epoch begins.  A worker stays active while it has inbox
-   messages or paused work.
+   messages or paused work;
+4. once no worker is active, the parent takes the sequential quiescence
+   decision, :meth:`~repro.strand.engine.StrandEngine.quiesce_action`,
+   over the shards' last :meth:`~repro.strand.engine.StrandEngine.quiesce_state`
+   snapshots (a worker sends one with every epoch that drains it).  The
+   run ends when nothing is suspended, or with a deadlock; a ``"close"``
+   or ``"abandon"`` action becomes one barrier message in every inbox, and
+   the epochs go on.  The action round is an epoch like any other, under
+   the same horizon and reduction budget.
+
+Workers answer three commands: ``init``, ``epoch`` and ``finish``.
 
 Pause points depend only on reduction and message counts, never on
 wall-clock time, so repeated runs stay bit-deterministic.  Each run starts
@@ -52,8 +62,9 @@ which splices it into the real stream with the original sender and send
 time, so delivery latency and wake accounting match the sequential backend.
 
 The shard hooks only move data.  Each worker's engine runs its own send
-accounting, spawn delivery and straggler abandonment, and the parent
-formats the shards' stuck processes with the scheduler's
+accounting, spawn delivery, port closing and straggler abandonment; the
+parent runs the engine's quiescence decision and formats the stuck
+processes ``finish`` returns with the scheduler's
 :func:`~repro.strand.scheduler.deadlock_report`, so both backends share one
 implementation of each.
 
@@ -329,9 +340,13 @@ def _apply_message(shard: _ShardContext, msg: tuple) -> None:
         if port.closed:
             raise StrandError(f"send on closed port {port!r}")
         engine._port_append(port, thaw(ops, shard), src, time)
-    else:  # "pclose"
+    elif kind == "pclose":
         gid, src = payload
         engine.port_close(port=shard.gid_ports[gid], src=src, now=time)
+    elif kind == "close":
+        engine.close_all_ports(time)
+    else:  # "abandon"
+        engine.scheduler.abandon_suspended(time)
 
 
 _MSG_ORDER = lambda m: (m[0], m[1], m[2])  # noqa: E731 - (time, shard, seq)
@@ -376,51 +391,26 @@ class _WorkerState:
         self.engine.shard = self.shard
         machine.trace.cause = 0
 
-    def _drain(self, horizon: float | None, start: float,
-               budget: int = EPOCH_REDUCTIONS) -> tuple:
-        """Drain for at most ``budget`` attempts (fewer once the
-        ``max_reductions`` budget runs low, which still raises when
-        exhausted); reply with the outbox, the next pending time (``None``
-        once drained) and the wall-clock seconds since ``start``."""
-        scheduler = self.engine.scheduler
-        floor = max(0, scheduler.reduction_budget - budget)
-        next_time = scheduler.drain(self.engine.reducer.execute, horizon, floor)
-        outbox = self.shard.outbox
-        self.shard.outbox = []
-        return (outbox, next_time, perf_counter() - start)
-
     def epoch(self, payload) -> tuple:
+        """Apply the inbox, then drain for at most ``budget`` attempts
+        (fewer once the ``max_reductions`` budget runs low, which still
+        raises when exhausted).  Reply with the outbox, the next pending
+        time, the wall-clock seconds taken and, once drained (next time
+        ``None``), the shard's :meth:`~StrandEngine.quiesce_state`."""
         start = perf_counter()
         inbox, horizon, budget = payload
-        self.engine.machine.trace.cause = 0
+        engine = self.engine
+        engine.machine.trace.cause = 0
         inbox.sort(key=_MSG_ORDER)
         for msg in inbox:
             _apply_message(self.shard, msg)
-        return self._drain(horizon, start, budget)
-
-    def quiesce_info(self, _payload) -> tuple:
-        engine = self.engine
-        open_ports = any(not port.closed for port in engine.ports)
-        max_clock = max(
-            (vp.clock for vp in engine.machine.procs
-             if self.shard.owns(vp.number)),
-            default=0.0,
-        )
-        return (len(engine.scheduler.suspended), engine.services_only(),
-                open_ports, max_clock)
-
-    def close_ports(self, payload) -> tuple:
-        start = perf_counter()
-        now = payload
-        self.engine.machine.trace.cause = 0
-        self.engine.close_all_ports(now)
-        return self._drain(None, start)
-
-    def abandon(self, now: float) -> None:
-        self.engine.scheduler.abandon_suspended(now)
-
-    def stuck(self, _payload) -> list:
-        return self.engine.scheduler.stuck()
+        scheduler = engine.scheduler
+        floor = max(0, scheduler.reduction_budget - budget)
+        next_time = scheduler.drain(engine.reducer.execute, horizon, floor)
+        outbox = self.shard.outbox
+        self.shard.outbox = []
+        state = engine.quiesce_state() if next_time is None else None
+        return (outbox, next_time, perf_counter() - start, state)
 
     def finish(self, _payload) -> tuple:
         engine = self.engine
@@ -433,6 +423,7 @@ class _WorkerState:
             list(machine.trace.events),
             machine.trace.dropped,
             engine.output,
+            engine.scheduler.stuck(),
         )
 
 
@@ -458,10 +449,6 @@ def _worker_main(conn) -> None:
     handlers = {
         "init": state.init,
         "epoch": state.epoch,
-        "quiesce_info": state.quiesce_info,
-        "close_ports": state.close_ports,
-        "abandon": state.abandon,
-        "stuck": state.stuck,
         "finish": state.finish,
     }
     try:
@@ -669,88 +656,69 @@ def run_parallel(engine) -> MachineMetrics:
         inboxes: list[list] = [[] for _ in range(workers)]
         _route(initial, workers, inboxes, [], telemetry.wire)
         worker_next: list[float | None] = [None] * workers
+        # Each shard's quiesce_state as of its last drained epoch; a shard
+        # that has not run since then has not changed.
+        states = [(0, True, False, 0.0)] * workers
         budget = EPOCH_REDUCTIONS
-
-        def exchange(targets, cmd: str, payloads) -> None:
-            """One barrier round: run ``cmd`` on ``targets``, then route
-            their outboxes and record the round's telemetry."""
-            replies = pool.command(targets, cmd, payloads)
+        while True:
+            horizon = None
+            if epoch_window is not None:
+                pending = [t for t in worker_next if t is not None]
+                pending.extend(
+                    msg[4][1] if msg[3] == "spawn" else msg[0]
+                    for box in inboxes for msg in box
+                )
+                if pending:
+                    horizon = min(pending) + epoch_window
+            active = [
+                w for w in range(workers)
+                if inboxes[w] or (worker_next[w] is not None and (
+                    horizon is None or worker_next[w] < horizon))
+            ]
+            if not active:
+                # Global quiescence: the sequential policy over all shards.
+                if not any(state[0] for state in states):
+                    break
+                action = engine.quiesce_action(
+                    all(state[1] for state in states),
+                    any(state[2] for state in states),
+                )
+                if action is None:
+                    break  # deadlock: finish reports what is stuck
+                # "close" or "abandon" travels as a barrier message; it
+                # skips _route, so it is not wire traffic.
+                now = max(state[3] for state in states)
+                for box in inboxes:
+                    box.append((now, PARENT_SHARD, 0, action, None))
+                continue
+            payloads = {}
+            for w in active:
+                payloads[w] = (inboxes[w], horizon, budget)
+                inboxes[w] = []
+            routed = sum(telemetry.wire.values())
+            replies = pool.command(active, "epoch", payloads)
             busy: list[float | None] = [None] * workers
             binds: list = []
-            for w, (outbox, next_time, seconds) in zip(targets, replies):
+            for w, (outbox, next_time, seconds, state) in zip(active, replies):
                 worker_next[w] = next_time
                 busy[w] = seconds
+                if state is not None:
+                    states[w] = state
                 _route(outbox, workers, inboxes, binds, telemetry.wire)
             _parent_apply_binds(parent_ctx, binds)
             telemetry.epochs += 1
-            telemetry.worker_epochs += len(targets)
+            telemetry.worker_epochs += len(active)
             telemetry.busy_s.append(tuple(busy))
-
-        while True:
-            # ---- message-exchange epochs until globally quiescent ------
-            while True:
-                if epoch_window is None:
-                    active = [
-                        w for w in range(workers)
-                        if inboxes[w] or worker_next[w] is not None
-                    ]
-                    horizon = None
-                else:
-                    pending = [t for t in worker_next if t is not None]
-                    pending.extend(
-                        msg[4][1] if msg[3] == "spawn" else msg[0]
-                        for box in inboxes for msg in box
-                    )
-                    if not pending:
-                        active = []
-                    else:
-                        horizon = min(pending) + epoch_window
-                        active = [
-                            w for w in range(workers)
-                            if inboxes[w] or (
-                                worker_next[w] is not None
-                                and worker_next[w] < horizon
-                            )
-                        ]
-                if not active:
-                    break
-                payloads = {}
-                for w in active:
-                    payloads[w] = (inboxes[w], horizon, budget)
-                    inboxes[w] = []
-                routed = sum(telemetry.wire.values())
-                exchange(active, "epoch", payloads)
-                budget = _next_budget(budget, sum(telemetry.wire.values()) - routed)
-
-            # ---- global quiescence: the sequential policy, distributed -
-            infos = pool.command(range(workers), "quiesce_info",
-                                 {w: None for w in range(workers)})
-            total_suspended = sum(info[0] for info in infos)
-            if total_suspended == 0:
-                break
-            now = max(info[3] for info in infos)
-            action = engine.quiesce_action(all(info[1] for info in infos),
-                                           any(info[2] for info in infos))
-            if action == "close":
-                engine._ports_closed = True
-                exchange(range(workers), "close_ports",
-                         {w: now for w in range(workers)})
-                continue
-            if action == "abandon":
-                pool.command(range(workers), "abandon",
-                             {w: now for w in range(workers)})
-                break
-            listings = pool.command(range(workers), "stuck",
-                                    {w: None for w in range(workers)})
-            raise DeadlockError(
-                deadlock_report([row for rows in listings for row in rows])
-            )
+            budget = _next_budget(budget, sum(telemetry.wire.values()) - routed)
 
         # ---- merge: metrics, trace, output -----------------------------
         finals = pool.command(range(workers), "finish",
                               {w: None for w in range(workers)})
     finally:
         pool.shutdown()
+    stuck = [row for final in finals for row in final[7]]
+    if stuck:
+        raise DeadlockError(deadlock_report(stuck))
 
     # Each processor's record is its owning shard's replica, plus the
     # cross-shard counters the other shards charged to their replicas.
@@ -762,7 +730,7 @@ def run_parallel(engine) -> MachineMetrics:
     trace_batches = []
     output: list[str] = []
     for w, (procs, lib_cost, usr_cost, n_abandoned, events, dropped,
-            out) in enumerate(finals):
+            out, _stuck) in enumerate(finals):
         library_cost += lib_cost
         user_cost += usr_cost
         abandoned += n_abandoned

@@ -60,7 +60,7 @@ from repro.core.motif import ComposedMotif, Motif
 from repro.errors import StrandError, TransformError
 from repro.motifs.random_map import rand_motif
 from repro.motifs.server import server_motif
-from repro.motifs.supervisor import SUP_RUN, TREE1_SUP_LIBRARY, supervise_motif
+from repro.motifs.supervisor import supervised_tree1_stages
 from repro.motifs.tree_reduce1 import tree1_motif
 from repro.strand.builtins import need_bound, need_int
 from repro.strand.foreign import ForeignRegistry
@@ -413,31 +413,16 @@ def reliable_tree_reduce(
     Tree-Reduce-1 deadlocks.  With supervision the entry is
     ``sup_run(Tree, Value)``: Reliable protects the attempt dispatch while
     Supervise re-runs attempts whose *unprotected* dataflow (watch
-    requests on the monitor port) was severed — run the engine with
-    ``abandon_stragglers=True`` so superseded attempts stranded by message
-    loss do not read as a deadlock.
+    requests on the monitor port) was severed.  Attempts a retry
+    superseded may be stranded by message loss; the tree runners abandon
+    them at quiescence (``abandon_stragglers``) instead of reporting a
+    deadlock.
     """
-    stack: list[Motif] = []
     if supervise:
-        stack.append(
-            Motif(
-                name="tree1-sup",
-                library=TREE1_SUP_LIBRARY.format(retries=sup_retries),
-            )
-        )
-        stack.append(
-            supervise_motif(
-                outputs={("reduce", 2): 2},
-                entry=("reduce", 2),
-                timeout=sup_timeout,
-                backoff=sup_backoff,
-                fallback=fallback,
-            )
-        )
-        stack.append(rand_motif(extra_entries=((SUP_RUN, 2),)))
+        stack = supervised_tree1_stages(sup_retries, sup_timeout, sup_backoff,
+                                        fallback)
     else:
-        stack.append(tree1_motif())
-        stack.append(rand_motif())
+        stack = [tree1_motif(), rand_motif()]
     stack.append(reliable_motif(retries, timeout, backoff, max_timeout))
     stack.append(server_motif(server_library))
     return ComposedMotif(stack)

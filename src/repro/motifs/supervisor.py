@@ -68,6 +68,7 @@ __all__ = [
     "SuperviseTransformation",
     "supervise_motif",
     "supervised_tree_reduce",
+    "supervised_tree1_stages",
     "SUPERVISE_LIBRARY",
     "TREE1_SUP_LIBRARY",
     "SUP_RUN",
@@ -365,21 +366,26 @@ def supervised_tree_reduce(
     the largest supervised subcomputation (half the tree), or healthy
     attempts will be retried and eventually degraded.
     """
-    tree1_sup = Motif(
-        name="tree1-sup", library=TREE1_SUP_LIBRARY.format(retries=retries)
-    )
-    supervise = supervise_motif(
-        outputs={("reduce", 2): 2},
-        entry=("reduce", 2),
-        timeout=timeout,
-        backoff=backoff,
-        fallback=fallback,
-    )
-    return ComposedMotif(
-        [
-            tree1_sup,
-            supervise,
-            rand_motif(extra_entries=((SUP_RUN, 2),)),
-            server_motif(server_library),
-        ]
-    )
+    return ComposedMotif([
+        *supervised_tree1_stages(retries, timeout, backoff, fallback),
+        server_motif(server_library),
+    ])
+
+
+def supervised_tree1_stages(retries: int, timeout: float, backoff: int,
+                            fallback: str) -> list[Motif]:
+    """The stages below the delivery layers of every supervised Tree1
+    stack: ``Rand ∘ Supervise ∘ Tree1′``, with ``sup_run/2`` as the
+    entry."""
+    return [
+        Motif(name="tree1-sup",
+              library=TREE1_SUP_LIBRARY.format(retries=retries)),
+        supervise_motif(
+            outputs={("reduce", 2): 2},
+            entry=("reduce", 2),
+            timeout=timeout,
+            backoff=backoff,
+            fallback=fallback,
+        ),
+        rand_motif(extra_entries=((SUP_RUN, 2),)),
+    ]

@@ -170,7 +170,6 @@ class StrandEngine:
         self.output: list[str] = []
         self.ports: list[PortRef] = []
         self._ports_closed = False
-        self._quiesce_closes = 0
         self._crash_timers_installed = False
 
     # ------------------------------------------------------------------
@@ -200,7 +199,6 @@ class StrandEngine:
         vp.spawns += 1
         if watched:
             vp.task_spawned()
-        scheduler.live += 1
         scheduler.push(process)
         trace = self.machine.trace
         if trace.enabled or self.profile is not None:
@@ -395,15 +393,11 @@ class StrandEngine:
         port.closed = True
         self.bind(port.tail, NIL, src, now)
 
-    def close_all_ports(self, now: float) -> int:
+    def close_all_ports(self, now: float) -> None:
         """Terminate every open port's stream (quiescence handling)."""
-        closed = 0
         for port in self.ports:
             if not port.closed:
                 self.port_close(port, port.owner, now)
-                closed += 1
-        self._ports_closed = True
-        return closed
 
     # ------------------------------------------------------------------
     # Execution
@@ -454,11 +448,21 @@ class StrandEngine:
                 return candidate
         return None
 
-    def services_only(self) -> bool:
-        """Whether every suspended process is a declared service."""
-        return all(
-            process.goal.indicator in self.services
-            for process in self.scheduler.suspended.values()
+    def quiesce_state(self) -> tuple[int, bool, bool, float]:
+        """This engine's input to :meth:`quiesce_action`: ``(suspended
+        processes, whether all of them are declared services, whether a
+        port is open, latest processor clock)``.  In a parallel-backend
+        worker the clock is over the processors its shard owns."""
+        procs = self.machine.procs
+        if self.shard is not None:
+            procs = [vp for vp in procs if self.shard.owns(vp.number)]
+        suspended = self.scheduler.suspended.values()
+        return (
+            len(suspended),
+            all(process.goal.indicator in self.services
+                for process in suspended),
+            any(not port.closed for port in self.ports),
+            max((vp.clock for vp in procs), default=0.0),
         )
 
     def quiesce_action(self, services_only: bool,
@@ -469,9 +473,11 @@ class StrandEngine:
         for a deadlock.  With ``abandon_stragglers``, non-service
         suspensions do not block the close (they may be stragglers of
         superseded supervision attempts), and whatever is still suspended
-        after it is abandoned."""
+        after it is abandoned.  Returning ``"close"`` records the close, so
+        the decision closes at most once per run."""
         if self.abandon_stragglers or services_only:
             if open_ports and not self._ports_closed:
+                self._ports_closed = True
                 return "close"
         if self.abandon_stragglers:
             return "abandon"
@@ -479,13 +485,10 @@ class StrandEngine:
 
     def _try_quiesce(self) -> bool:
         """Apply :meth:`quiesce_action` to this engine's own state."""
-        now = max(p.clock for p in self.machine.procs)
-        action = self.quiesce_action(
-            self.services_only(), any(not port.closed for port in self.ports)
-        )
+        _suspended, services_only, open_ports, now = self.quiesce_state()
+        action = self.quiesce_action(services_only, open_ports)
         if action == "close":
             self.close_all_ports(now)
-            self._quiesce_closes += 1
         elif action == "abandon":
             self.scheduler.abandon_suspended(now)
         return action is not None

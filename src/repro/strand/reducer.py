@@ -86,7 +86,6 @@ class Reducer:
         if profile is not None:
             profile.reduction(cost)
         process.state = DONE
-        engine.scheduler.live -= 1
         machine = engine.machine
         vp = machine.procs[process.proc - 1]
         if process.watched:

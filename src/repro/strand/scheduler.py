@@ -95,7 +95,6 @@ class Scheduler:
         # for the deadlock report, which names them as the likely reason
         # other processes are stuck.
         self.orphans: list[Process] = []
-        self.live = 0
         self.max_reductions = max_reductions
         self.reduction_budget = max_reductions
 
@@ -111,7 +110,6 @@ class Scheduler:
         if not vp.alive:
             # Fail-stop: work destined for a crashed processor is lost.
             process.state = DONE
-            self.live -= 1
             self.machine.fault_stats.processes_abandoned += 1
             return
         heappush(self.queues[process.proc - 1], (process.ready, process.seq, process))
@@ -346,7 +344,6 @@ class Scheduler:
                 self.push(process)
             else:
                 process.state = DONE
-                self.live -= 1
                 stats.processes_abandoned += 1
                 trace.record(now, pnum, "fault",
                              f"abandon:{process.goal.functor}",
@@ -355,7 +352,6 @@ class Scheduler:
             if process.proc == pnum:
                 del self.suspended[key]
                 process.state = DONE
-                self.live -= 1
                 self.orphans.append(process)
                 stats.orphaned_suspensions += 1
                 trace.record(now, pnum, "fault",
@@ -374,7 +370,6 @@ class Scheduler:
         for process in sorted(self.suspended.values(),
                               key=lambda p: (p.proc, p.seq)):
             process.state = DONE
-            self.live -= 1
             stats.processes_abandoned += 1
             trace.record(now, process.proc, "fault",
                          f"straggler:{process.goal.functor}")

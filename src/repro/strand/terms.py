@@ -57,7 +57,7 @@ class Var:
     engine owns the waiter protocol, the term layer only stores the list.
     """
 
-    __slots__ = ("ref", "name", "waiters", "home")
+    __slots__ = ("ref", "name", "waiters")
 
     _counter = 0
 
@@ -78,9 +78,6 @@ class Var:
             name = f"_G{Var._counter}"
         self.name = name
         self.waiters: list | None = None
-        # Processor on which the variable was created (for latency modelling);
-        # None outside a machine context.
-        self.home: int | None = None
 
     @property
     def is_bound(self) -> bool:
@@ -112,14 +109,13 @@ class Var:
     # Waiters are process-local scheduler state and never cross the wire.
     def __getstate__(self):
         boxed = None if self.ref is _UNBOUND else (self.ref,)
-        return (self.name, boxed, self.home)
+        return (self.name, boxed)
 
     def __setstate__(self, state) -> None:
-        name, boxed, home = state
+        name, boxed = state
         self.name = name
         self.ref = _UNBOUND if boxed is None else boxed[0]
         self.waiters = None
-        self.home = home
 
 
 class Atom:
@@ -352,8 +348,10 @@ def copy_term(term: Term, var_image: Callable[[Var], Term]) -> Term:
     Iterative like :func:`term_size`/:func:`walk_terms` — a recursive copy
     blows the interpreter stack around 20k cons cells, and list spines of
     that depth are ordinary data here (repro: ``rename_term(make_list(
-    range(20000)))``).  Shared by :func:`rename_term` and the reducer's
-    ``instantiate`` so both copying paths stay stack-safe.
+    range(20000)))``).  Shared by :func:`rename_term` and the interpretive
+    matcher's ``instantiate`` (:mod:`repro.strand.match`) so both copying
+    paths stay stack-safe; the reducer builds bodies from the compiled
+    templates of :mod:`repro.strand.compile` instead.
 
     The work stack holds terms to visit plus marker tuples; a marker pops
     its node's finished children off the output stack and pushes the

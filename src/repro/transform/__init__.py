@@ -14,7 +14,6 @@ from repro.transform.rewrite import (
     with_placement,
 )
 from repro.transform.transformation import (
-    Chain,
     FunctionTransformation,
     Identity,
     Transformation,
@@ -23,7 +22,6 @@ from repro.transform.transformation import (
 __all__ = [
     "Transformation",
     "Identity",
-    "Chain",
     "FunctionTransformation",
     "ThreadArgument",
     "OpRewriter",

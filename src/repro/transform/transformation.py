@@ -1,20 +1,22 @@
 """Transformation base classes.
 
-A transformation is a pure function ``Program -> Program``.  Composition is
-first-class because motif composition (paper §2.2) is transformation
-composition interleaved with library linking:
+A transformation is a pure function ``Program -> Program``.  Motif
+composition (paper §2.2) interleaves transformations with library linking,
 
     M₂ ∘ M₁ (A) = T₂( T₁(A) ∪ L₁ ) ∪ L₂
+
+so stacks compose through :class:`~repro.core.motif.ComposedMotif`, never
+by chaining bare transformations.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.strand.program import Program
 
-__all__ = ["Transformation", "Identity", "Chain", "FunctionTransformation"]
+__all__ = ["Transformation", "Identity", "FunctionTransformation"]
 
 
 class Transformation(ABC):
@@ -29,10 +31,6 @@ class Transformation(ABC):
     def __call__(self, program: Program) -> Program:
         return self.apply(program)
 
-    def then(self, other: "Transformation") -> "Transformation":
-        """``other ∘ self`` — self first, then other."""
-        return Chain([self, other])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"
 
@@ -45,19 +43,6 @@ class Identity(Transformation):
 
     def apply(self, program: Program) -> Program:
         return program.copy()
-
-
-class Chain(Transformation):
-    """Sequential composition: transformations applied left to right."""
-
-    def __init__(self, steps: Sequence[Transformation]):
-        self.steps = list(steps)
-        self.name = "∘".join(reversed([s.name for s in self.steps])) or "identity"
-
-    def apply(self, program: Program) -> Program:
-        for step in self.steps:
-            program = step.apply(program)
-        return program
 
 
 class FunctionTransformation(Transformation):

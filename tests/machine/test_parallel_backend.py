@@ -135,9 +135,11 @@ class TestEquivalence:
 
     def test_epoch_window_mode(self):
         seq = run_fan(Machine(3, seed=1))
-        par = run_fan(Machine(3, seed=1, backend="parallel", workers=2,
-                              epoch_window=2.0))
-        assert sorted(par.value("Out")) == sorted(seq.value("Out"))
+        # At 0.5 the quiescence close round has to stop at its horizon.
+        for window in (2.0, 0.5):
+            par = run_fan(Machine(3, seed=1, backend="parallel", workers=2,
+                                  epoch_window=window))
+            assert sorted(par.value("Out")) == sorted(seq.value("Out"))
 
     def test_reduce_tree_parallel_backend(self):
         from repro.apps.trees import balanced_tree, sequential_reduce
@@ -346,9 +348,9 @@ class TestErrors:
 
 
 class TestStragglers:
-    """``abandon_stragglers`` on the parallel backend runs the workers'
-    ``abandon`` command; it must drop exactly what the sequential engine
-    drops."""
+    """``abandon_stragglers`` on the parallel backend sends every worker an
+    ``abandon`` barrier message; it must drop exactly what the sequential
+    engine drops."""
 
     SRC = """
     go(Out) :- Out := 1, wait(X, _) @ 2.
@@ -369,6 +371,31 @@ class TestStragglers:
         assert seq.metrics.processes_abandoned == 1
         assert par.metrics.processes_abandoned == 1
         assert seq_machine.procs[1].suspensions == 1
+        assert (processor_rows(par_machine, self.FIELDS)
+                == processor_rows(seq_machine, self.FIELDS))
+
+    def test_close_then_abandon_matches_sequential(self):
+        # Quiescence first closes the port the count/3 service reads, then
+        # abandons the wait/1 straggler stranded on the other processor.
+        src = """
+        go(Out) :- open_port(P, S), count(S, 0, Out), send_port(P, hi),
+            wait(_X) @ 2.
+        count([_ | In], N, Out) :- N1 := N + 1, count(In, N1, Out).
+        count([], N, Out) :- Out := N.
+        wait(done).
+        """
+        runs = []
+        for backend in ("sequential", "parallel"):
+            machine = on_backend(backend, 2)
+            result = run_query(parse_program(src), "go(Out)", machine=machine,
+                               services=[("count", 3)],
+                               abandon_stragglers=True)
+            runs.append((result, machine))
+        (seq, seq_machine), (par, par_machine) = runs
+        assert par.value("Out") == seq.value("Out") == 1
+        assert seq.metrics.processes_abandoned == 1
+        assert par.metrics.processes_abandoned == 1
+        assert seq.engine._ports_closed and par.engine._ports_closed
         assert (processor_rows(par_machine, self.FIELDS)
                 == processor_rows(seq_machine, self.FIELDS))
 

@@ -121,7 +121,7 @@ class TestQuiescenceAfterCrash:
         engine.spawn(Struct("emit_when", (port, go)), proc=3)
         metrics = engine.run()
         assert deref(out) == 2  # both live bumps counted, the orphan none
-        assert engine._quiesce_closes == 1
+        assert engine._ports_closed
         assert metrics.crashes == 1
         assert metrics.orphaned_suspensions == 1
 
@@ -141,7 +141,7 @@ class TestQuiescenceAfterCrash:
         assert "orphaned by crashed processor(s)" in str(excinfo.value)
         assert "serve" in str(excinfo.value)
         # Quiescence never fired a close for the dead server's port.
-        assert engine._quiesce_closes == 0
+        assert not engine._ports_closed
 
 
 class TestSameSeedReplay:

@@ -80,7 +80,6 @@ class TestQuiescenceCounter:
         result = run_query(program, "go(Out)", machine=Machine(1),
                            services=[("loop", 3)])
         assert result["Out"] == 3
-        assert result.engine._quiesce_closes == 1
         assert result.engine._ports_closed
 
     def test_no_quiesce_when_streams_terminate_naturally(self):
@@ -93,7 +92,7 @@ class TestQuiescenceCounter:
         """
         result = run_query(parse_program(src), "go(Out)", machine=Machine(1))
         assert result["Out"] == 2
-        assert result.engine._quiesce_closes == 0
+        assert not result.engine._ports_closed
 
     @pytest.mark.parametrize(
         "abandon, services_only, open_ports, closed, action", [
@@ -111,6 +110,15 @@ class TestQuiescenceCounter:
         engine = StrandEngine(parse_program("p."), abandon_stragglers=abandon)
         engine._ports_closed = closed
         assert engine.quiesce_action(services_only, open_ports) == action
+
+    @pytest.mark.parametrize("abandon, second", [(False, None),
+                                                 (True, "abandon")])
+    def test_quiesce_action_records_its_close(self, abandon, second):
+        # Only services suspended, ports open: the decision closes once.
+        engine = StrandEngine(parse_program("p."), abandon_stragglers=abandon)
+        assert engine.quiesce_action(True, True) == "close"
+        assert engine._ports_closed
+        assert engine.quiesce_action(True, True) == second
 
     def test_undeclared_service_deadlock_lists_the_loop(self):
         program = parse_program(self.SERVER)

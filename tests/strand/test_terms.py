@@ -1,5 +1,7 @@
 """Unit tests for the term layer."""
 
+import pickle
+
 import pytest
 
 from repro.errors import DoubleAssignmentError
@@ -49,6 +51,19 @@ class TestVar:
 
     def test_auto_names_are_unique(self):
         assert Var().name != Var().name
+
+    def test_pickle_round_trip(self):
+        unbound, to_none, to_struct = Var("U"), Var("N"), Var("S")
+        to_none.bind(None)
+        to_struct.bind(Struct("f", (1, Atom("a"))))
+        unbound.waiters = ["suspended process"]
+        copies = pickle.loads(pickle.dumps([unbound, to_none, to_struct]))
+        assert [v.name for v in copies] == ["U", "N", "S"]
+        assert not copies[0].is_bound
+        assert copies[0].waiters is None  # scheduler state stays behind
+        assert copies[1].is_bound and deref(copies[1]) is None
+        assert term_eq(deref(copies[2]), Struct("f", (1, Atom("a"))))
+        assert unbound.__getstate__() == ("U", None)
 
 
 class TestAtom:

@@ -11,8 +11,6 @@ from repro.strand.pretty import format_program
 from repro.strand.terms import Atom, Struct, Var
 from repro.transform import (
     CallGraph,
-    Chain,
-    FunctionTransformation,
     Identity,
     ThreadArgument,
     goal_indicator,
@@ -125,20 +123,6 @@ class TestTransformationBase:
         out = Identity().apply(program)
         assert out is not program
         assert format_program(out) == format_program(program)
-
-    def test_chain_order(self):
-        log = []
-        t1 = FunctionTransformation(lambda p: (log.append(1), p)[1], "one")
-        t2 = FunctionTransformation(lambda p: (log.append(2), p)[1], "two")
-        Chain([t1, t2]).apply(parse_program("p."))
-        assert log == [1, 2]
-
-    def test_then_composition(self):
-        log = []
-        t1 = FunctionTransformation(lambda p: (log.append(1), p)[1], "one")
-        t2 = FunctionTransformation(lambda p: (log.append(2), p)[1], "two")
-        t1.then(t2).apply(parse_program("p."))
-        assert log == [1, 2]
 
 
 def _send_rewriter(goal: Struct, dt: Var):
