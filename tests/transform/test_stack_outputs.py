@@ -15,9 +15,14 @@ from pathlib import Path
 from repro.apps.arithmetic import EVAL_SOURCE
 from repro.apps.taskbag import TASKBAG_SOURCE
 from repro.core.motif import ComposedMotif
+from repro.motifs.bnb import bnb_stack
+from repro.motifs.dnc import dnc_stack
+from repro.motifs.farm import farm_stack
 from repro.motifs.random_map import random_motif
 from repro.motifs.reliable import reliable_tree_reduce
 from repro.motifs.scheduler import scheduled_application
+from repro.motifs.search import collect_search_stack, search_stack
+from repro.motifs.sort import sort_stack
 from repro.motifs.supervisor import supervised_tree_reduce
 from repro.motifs.tree_reduce1 import (
     sequential_tree_motif,
@@ -46,7 +51,9 @@ def _scheduled(hierarchical: bool) -> ComposedMotif:
     )
 
 
-#: ``name -> (stack factory, application source)``.
+#: ``name -> (stack factory, application source)``.  The extension stacks
+#: run applications whose user procedures are all foreign, so their
+#: application source is empty.
 STACKS = {
     "tr1": (tree_reduce_1, EVAL_SOURCE),
     "tr1-no-termination": (lambda: tree_reduce_1(termination=False), EVAL_SOURCE),
@@ -60,6 +67,12 @@ STACKS = {
     "scheduled-flat": (lambda: _scheduled(False), TASKBAG_SOURCE),
     "scheduled-hier": (lambda: _scheduled(True), TASKBAG_SOURCE),
     "random": (random_motif, RANDOM_APP),
+    "farm": (farm_stack, ""),
+    "dnc": (dnc_stack, ""),
+    "search": (search_stack, ""),
+    "collect-search": (collect_search_stack, ""),
+    "sort": (sort_stack, ""),
+    "bnb": (bnb_stack, ""),
 }
 
 
