@@ -12,7 +12,6 @@ from repro.analysis import Table, measure
 from repro.apps.arithmetic import EVAL_SOURCE, arithmetic_tree, eval_arith_node
 from repro.apps.trees import sequential_reduce, tree_term
 from repro.core.api import run_applied
-from repro.core.motif import ComposedMotif
 from repro.machine import Machine
 from repro.motifs.random_map import rand_motif
 from repro.motifs.server import server_motif
@@ -68,7 +67,7 @@ def run_hand_written(tree, processors, seed):
 
 
 def run_composed(tree, processors, seed):
-    motif = ComposedMotif([tree1_motif(), rand_motif(), server_motif()])
+    motif = server_motif() @ rand_motif() @ tree1_motif()
     applied = motif.apply(parse_program(EVAL_SOURCE, name="eval"))
     machine = Machine(processors, seed=seed)
     value = Var("Value")
@@ -97,7 +96,7 @@ def test_e2_composition_equivalence(emit, benchmark):
     emit(table)
 
     # Figure-5 staged structure.
-    motif = ComposedMotif([tree1_motif(), rand_motif(), server_motif()])
+    motif = server_motif() @ rand_motif() @ tree1_motif()
     stages = motif.apply_staged(parse_program(EVAL_SOURCE, name="eval"))
     stage_table = Table(
         "E2  Figure-5 staging (program size after each motif)",

@@ -14,27 +14,10 @@ arithmetic and the alignment applications; and the user-share ratio.
 
 from repro.analysis import Table, diff_generated, measure
 from repro.apps.arithmetic import EVAL_SOURCE
-from repro.core.motif import ComposedMotif
-from repro.motifs.random_map import rand_motif
-from repro.motifs.server import server_motif
-from repro.motifs.termination import short_circuit_motif
-from repro.motifs.tree_reduce1 import tree1_motif
-from repro.motifs.tree_reduce2 import tree_reduce_motif
+from repro.motifs.tree_reduce1 import tree_reduce_1
+from repro.motifs.tree_reduce2 import tree_reduce_2
 from repro.strand.parser import parse_program
 from repro.strand.program import Program
-
-
-def stack_tr1():
-    return ComposedMotif([
-        tree1_motif(),
-        short_circuit_motif(entry=("reduce", 2), sync_outputs={("eval", 4): 3}),
-        rand_motif(),
-        server_motif(),
-    ])
-
-
-def stack_tr2():
-    return ComposedMotif([tree_reduce_motif(), server_motif()])
 
 
 def staged_sizes(motif, application):
@@ -70,7 +53,7 @@ def test_e7_incremental_effort(emit, benchmark):
     table.add("user eval (input)", user_size.procedures, user_size.rules,
               user_size.goals, user_size.lines)
     total_generated = 0
-    for name, delta in staged_sizes(stack_tr1(), user_arith):
+    for name, delta in staged_sizes(tree_reduce_1(), user_arith):
         table.add(name, delta.procedures, delta.rules, delta.goals, delta.lines)
         total_generated += delta.lines
     table.note(f"user writes {user_size.lines} lines; motifs supply/generate "
@@ -81,9 +64,9 @@ def test_e7_incremental_effort(emit, benchmark):
         "E7  incremental effort for the alignment application",
         ["component", "lines", "share"],
     )
-    tr1_total = sum(d.lines for _, d in staged_sizes(stack_tr1(), user_arith))
+    tr1_total = sum(d.lines for _, d in staged_sizes(tree_reduce_1(), user_arith))
     tr2_total = sum(
-        d.lines for _, d in staged_sizes(stack_tr2(), Program(name="empty"))
+        d.lines for _, d in staged_sizes(tree_reduce_2(), Program(name="empty"))
     )
     grand = bio_lines + tr1_total
     table2.add("align-node + bio pipeline (user, Python)", bio_lines,
@@ -102,4 +85,4 @@ def test_e7_incremental_effort(emit, benchmark):
     assert bio_lines > 3 * tr1_total  # the application dominates motif glue
 
     application = parse_program(EVAL_SOURCE, name="user-eval")
-    benchmark(lambda: stack_tr1().apply(application))
+    benchmark(lambda: tree_reduce_1().apply(application))

@@ -22,7 +22,6 @@ Run:  python examples/motif_composition.py
 """
 
 from repro.analysis import banner, measure
-from repro.core.motif import ComposedMotif
 from repro.motifs.random_map import rand_motif
 from repro.motifs.server import server_motif
 from repro.motifs.tree_reduce1 import tree1_motif
@@ -37,7 +36,7 @@ eval(mul, L, R, Value) :- Value := L * R.
 
 def main() -> None:
     application = parse_program(USER_PROGRAM, name="arithmetic-eval")
-    motif = ComposedMotif([tree1_motif(), rand_motif(), server_motif()])
+    motif = server_motif() @ rand_motif() @ tree1_motif()
 
     print(f"Composition: Tree-Reduce-1 = {motif.name}")
     print(f"User program: {measure(application).rules} rules\n")

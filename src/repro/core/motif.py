@@ -7,12 +7,16 @@ library program; applying it to an application ``A`` yields the program
 
 Because the output is itself a program, motifs compose:
 
-    (M₂ ∘ M₁)(A) = M₂(M₁(A)) = T₂( T₁(A) ∪ L₁ ) ∪ L₂ .
+    (M₂ ∘ M₁)(A) = M₂(M₁(A)) = T₂( T₁(A) ∪ L₁ ) ∪ L₂ ,
+
+spelled ``m2 @ m1`` and written outermost first, as the paper writes its
+stacks (``server_motif() @ rand_motif() @ tree1_motif()`` is
+Tree-Reduce-1 = Server ∘ Rand ∘ Tree1).
 
 Beyond the pair, a :class:`Motif` carries the *runtime metadata* an engine
 needs to execute its output faithfully: which procedures are perpetual
-services (so quiescence detection can close their ports), which foreign
-procedures its library expects, and which query shape starts a computation.
+services (so quiescence detection can close their ports) and a hook that
+registers the foreign procedures its library expects.
 
 Caching
 -------
@@ -292,9 +296,6 @@ class ComposedMotif(Motif):
             applied = motif._apply_cached(applied)
             stages.append(applied.fork())
         return stages
-
-    def compose(self, inner: "Motif") -> "ComposedMotif":
-        return ComposedMotif([*inner.stages(), *self.pipeline])
 
     def stages(self) -> list[Motif]:
         return list(self.pipeline)

@@ -61,38 +61,50 @@ def get_motif(name: str, **params) -> Motif:
 
 
 def _populate(registry: MotifRegistry) -> None:
-    from repro.motifs.random_map import rand_motif, random_motif
-    from repro.motifs.server import server_motif
-    from repro.motifs.termination import short_circuit_motif
-    from repro.motifs.tree_reduce1 import (
-        sequential_tree_motif,
-        static_tree_motif,
-        tree1_motif,
-        tree_reduce_1,
+    # Imported here, not at module level: the motif modules import
+    # ``repro.core``, whose package init imports this module.
+    from repro.motifs import (
+        bnb, bounded, collective, dnc, farm, graph, grid, monitor, pipeline,
+        random_map, reliable, scheduler, search, server, sort, supervisor,
+        termination, tree_reduce1, tree_reduce2,
     )
-    from repro.motifs.reliable import reliable_motif, reliable_tree_reduce
-    from repro.motifs.supervisor import supervise_motif, supervised_tree_reduce
-    from repro.motifs.tree_reduce2 import tree_reduce_2, tree_reduce_motif
 
-    registry.register("server", server_motif)
-    registry.register("supervise", supervise_motif)
-    registry.register("supervised-tree-reduce", supervised_tree_reduce)
-    registry.register("rand", rand_motif)
-    registry.register("random", random_motif)
-    registry.register("reliable", reliable_motif)
-    registry.register("reliable-tree-reduce", reliable_tree_reduce)
-    registry.register("termination", short_circuit_motif)
-    registry.register("tree1", tree1_motif)
-    registry.register("tree-reduce-1", tree_reduce_1)
-    registry.register("tree-reduce", tree_reduce_motif)
-    registry.register("tree-reduce-2", tree_reduce_2)
-    registry.register("static-tree", static_tree_motif)
-    registry.register("sequential-tree", sequential_tree_motif)
-    # Extension motifs (paper §4 future work) register lazily to avoid
-    # import cycles; they are added by repro.motifs.__init__.
-    try:
-        from repro.motifs import extensions
-
-        extensions.register_all(registry)
-    except ImportError:
-        pass
+    table: dict[str, Callable[..., Motif]] = {
+        # The paper's motifs and stacks.
+        "server": server.server_motif,
+        "rand": random_map.rand_motif,
+        "random": random_map.random_motif,
+        "termination": termination.short_circuit_motif,
+        "tree1": tree_reduce1.tree1_motif,
+        "tree-reduce-1": tree_reduce1.tree_reduce_1,
+        "static-tree": tree_reduce1.static_tree_motif,
+        "sequential-tree": tree_reduce1.sequential_tree_motif,
+        "tree-reduce": tree_reduce2.tree_reduce_motif,
+        "tree-reduce-2": tree_reduce2.tree_reduce_2,
+        "scheduler": scheduler.scheduler_motif,
+        "scheduled": scheduler.scheduled_application,
+        # Fault tolerance.
+        "supervise": supervisor.supervise_motif,
+        "supervised-tree-reduce": supervisor.supervised_tree_reduce,
+        "reliable": reliable.reliable_motif,
+        "reliable-tree-reduce": reliable.reliable_tree_reduce,
+        # The §4 future-work extensions.
+        "farm": farm.farm_motif,
+        "farm-stack": farm.farm_stack,
+        "pipeline": pipeline.pipeline_motif,
+        "dnc": dnc.dnc_motif,
+        "dnc-stack": dnc.dnc_stack,
+        "search": search.search_motif,
+        "search-stack": search.search_stack,
+        "sort": sort.sort_motif,
+        "sort-stack": sort.sort_stack,
+        "grid": grid.grid_motif,
+        "graph-sssp": graph.graph_motif,
+        "bounded-buffer": bounded.bounded_motif,
+        "monitor": monitor.monitor_motif,
+        "collective": collective.collective_motif,
+        "bnb": bnb.bnb_motif,
+        "bnb-stack": bnb.bnb_stack,
+    }
+    for name, factory in table.items():
+        registry.register(name, factory)

@@ -84,6 +84,8 @@ Guarantees and limits
 * Fault injection (``Machine(faults=...)``) and per-motif profiling
   (``profile=``) raise :class:`NotImplementedError` on this backend.
 * ``max_reductions`` is enforced per worker, not globally.
+* Fault and motif counters (every :class:`~repro.machine.faults.FaultStats`
+  field) are summed over the workers.
 * The returned metrics carry :class:`~repro.machine.metrics.EpochTelemetry`
   (barrier rounds, active workers, routed messages by kind, per-round
   worker busy seconds, and worker start-up seconds).
@@ -98,10 +100,12 @@ import multiprocessing
 import sys
 import threading
 import traceback
+from dataclasses import fields, replace
 from time import perf_counter
 
 from repro import errors as _errors
 from repro.errors import DeadlockError, StrandError
+from repro.machine.faults import FaultStats
 from repro.machine.metrics import EpochTelemetry, MachineMetrics
 from repro.strand.scheduler import deadlock_report
 
@@ -419,7 +423,7 @@ class _WorkerState:
             machine.procs,
             machine.library_cost,
             machine.user_cost,
-            machine.fault_stats.processes_abandoned,
+            machine.fault_stats,
             list(machine.trace.events),
             machine.trace.dropped,
             engine.output,
@@ -726,14 +730,12 @@ def run_parallel(engine) -> MachineMetrics:
               for p in range(1, processors + 1)]
     library_cost = 0.0
     user_cost = 0.0
-    abandoned = 0
     trace_batches = []
     output: list[str] = []
-    for w, (procs, lib_cost, usr_cost, n_abandoned, events, dropped,
+    for w, (procs, lib_cost, usr_cost, _stats, events, dropped,
             out, _stuck) in enumerate(finals):
         library_cost += lib_cost
         user_cost += usr_cost
-        abandoned += n_abandoned
         trace_batches.append((w, events, dropped))
         output.extend(out)
         for vp in procs:
@@ -745,7 +747,9 @@ def run_parallel(engine) -> MachineMetrics:
     machine.procs = merged
     machine.library_cost = library_cost
     machine.user_cost = user_cost
-    machine.fault_stats.processes_abandoned = abandoned
+    for f in fields(FaultStats):
+        setattr(machine.fault_stats, f.name,
+                sum(getattr(final[3], f.name) for final in finals))
     engine.output[:] = output
     _merge_traces(machine.trace, trace_batches)
     metrics = machine.metrics()
@@ -757,8 +761,6 @@ def _merge_traces(trace, batches: list) -> None:
     """Renumber per-worker event ids into one global trace, ordered by
     ``(time, shard, local id)``; intra-shard cause links are remapped,
     cross-shard links do not exist (they are cut at epoch barriers)."""
-    from dataclasses import replace
-
     rows = []
     dropped = 0
     for w, events, worker_dropped in batches:

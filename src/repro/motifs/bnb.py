@@ -123,4 +123,4 @@ def bnb_motif() -> Motif:
 
 def bnb_stack(server_library: str = "ports") -> ComposedMotif:
     """``BnB = Server ∘ BnBLib``; entry message ``binit(Root, Best)``."""
-    return server_motif(server_library).compose(bnb_motif())
+    return server_motif(server_library) @ bnb_motif()

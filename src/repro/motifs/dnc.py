@@ -18,8 +18,7 @@ levels of parallel splitting, recursion stays local (``ldnc``).
 from __future__ import annotations
 
 from repro.core.motif import ComposedMotif, Motif
-from repro.motifs.random_map import rand_motif
-from repro.motifs.server import server_motif
+from repro.motifs.random_map import random_motif
 from repro.motifs.termination import short_circuit_motif
 
 __all__ = ["DNC_LIBRARY", "dnc_motif", "dnc_stack"]
@@ -66,16 +65,12 @@ def dnc_stack(
     procedures as foreign for the short-circuit sync analysis (set False
     when they are Strand-defined — then they are threaded directly).
     """
-    stack: list[Motif] = [dnc_motif()]
+    core = dnc_motif()
     if termination:
         sync = (
             {("combine", 3): 2, ("base", 2): 1}
             if foreign_combine
             else {}
         )
-        stack.append(
-            short_circuit_motif(entry=("dnc", 3), sync_outputs=sync)
-        )
-    stack.append(rand_motif())
-    stack.append(server_motif(server_library))
-    return ComposedMotif(stack)
+        core = short_circuit_motif(entry=("dnc", 3), sync_outputs=sync) @ core
+    return random_motif(server_library) @ core

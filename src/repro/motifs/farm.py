@@ -13,8 +13,7 @@ parameterized motif (reuse through modification, mechanized).
 from __future__ import annotations
 
 from repro.core.motif import ComposedMotif, Motif
-from repro.motifs.random_map import rand_motif
-from repro.motifs.server import server_motif
+from repro.motifs.random_map import random_motif
 from repro.motifs.termination import short_circuit_motif
 
 __all__ = ["farm_library_source", "farm_motif", "farm_stack"]
@@ -51,14 +50,9 @@ def farm_stack(
     Entry message: ``boot(Xs, Ys, Done)`` with termination, else
     ``fmap(Xs, Ys)``.
     """
-    stack: list[Motif] = [farm_motif(worker)]
+    core = farm_motif(worker)
     if termination:
-        stack.append(
-            short_circuit_motif(
-                entry=("fmap", 2),
-                sync_outputs={(worker, 2): 1},
-            )
-        )
-    stack.append(rand_motif())
-    stack.append(server_motif(server_library))
-    return ComposedMotif(stack)
+        core = short_circuit_motif(
+            entry=("fmap", 2), sync_outputs={(worker, 2): 1}
+        ) @ core
+    return random_motif(server_library) @ core

@@ -120,4 +120,4 @@ def random_motif(
     extra_entries: tuple[tuple[str, int], ...] = (),
 ) -> ComposedMotif:
     """``Random = Server ∘ Rand`` (paper §3.3)."""
-    return server_motif(server_library).compose(rand_motif(extra_entries))
+    return server_motif(server_library) @ rand_motif(extra_entries)

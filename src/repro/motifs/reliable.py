@@ -60,7 +60,7 @@ from repro.core.motif import ComposedMotif, Motif
 from repro.errors import StrandError, TransformError
 from repro.motifs.random_map import rand_motif
 from repro.motifs.server import server_motif
-from repro.motifs.supervisor import supervised_tree1_stages
+from repro.motifs.supervisor import supervised_tree1
 from repro.motifs.tree_reduce1 import tree1_motif
 from repro.strand.builtins import need_bound, need_int
 from repro.strand.foreign import ForeignRegistry
@@ -418,11 +418,13 @@ def reliable_tree_reduce(
     them at quiescence (``abandon_stragglers``) instead of reporting a
     deadlock.
     """
-    if supervise:
-        stack = supervised_tree1_stages(sup_retries, sup_timeout, sup_backoff,
-                                        fallback)
-    else:
-        stack = [tree1_motif(), rand_motif()]
-    stack.append(reliable_motif(retries, timeout, backoff, max_timeout))
-    stack.append(server_motif(server_library))
-    return ComposedMotif(stack)
+    core = (
+        supervised_tree1(sup_retries, sup_timeout, sup_backoff, fallback)
+        if supervise
+        else rand_motif() @ tree1_motif()
+    )
+    return (
+        server_motif(server_library)
+        @ reliable_motif(retries, timeout, backoff, max_timeout)
+        @ core
+    )

@@ -296,12 +296,10 @@ def scheduled_application(
     # Done variable binds would deadlock small machines, so it reports
     # ready immediately (None = report_now).
     task_outputs.setdefault(boot_indicator, None)
-    return ComposedMotif(
-        [
-            short_circuit_motif(
-                entry=entry, sync_outputs=sync_outputs, add_server_rule=False
-            ),
-            scheduler_motif(task_outputs, hierarchical, dependencies),
-            server_motif(server_library),
-        ]
+    return (
+        server_motif(server_library)
+        @ scheduler_motif(task_outputs, hierarchical, dependencies)
+        @ short_circuit_motif(
+            entry=entry, sync_outputs=sync_outputs, add_server_rule=False
+        )
     )

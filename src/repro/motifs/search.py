@@ -16,8 +16,7 @@ that exploration stays local (or-parallelism with bounded task grain).
 from __future__ import annotations
 
 from repro.core.motif import ComposedMotif, Motif
-from repro.motifs.random_map import rand_motif
-from repro.motifs.server import server_motif
+from repro.motifs.random_map import random_motif
 from repro.motifs.termination import short_circuit_motif
 
 __all__ = [
@@ -108,19 +107,13 @@ def collect_search_stack(
     else ``explore_all(Root, Sols, [], Depth)``; ``Sols`` closes to the
     full solution list.
     """
-    stack: list[Motif] = [
-        Motif(name="collect-search", library=COLLECT_LIBRARY)
-    ]
+    core = Motif(name="collect-search", library=COLLECT_LIBRARY)
     if termination:
-        stack.append(
-            short_circuit_motif(
-                entry=("explore_all", 4),
-                sync_outputs={("expand", 2): 1, ("sol", 2): 1},
-            )
-        )
-    stack.append(rand_motif())
-    stack.append(server_motif(server_library))
-    return ComposedMotif(stack)
+        core = short_circuit_motif(
+            entry=("explore_all", 4),
+            sync_outputs={("expand", 2): 1, ("sol", 2): 1},
+        ) @ core
+    return random_motif(server_library) @ core
 
 
 def search_stack(
@@ -133,14 +126,10 @@ def search_stack(
     Entry message: ``boot(Root, Count, Depth, Done)`` with termination,
     else ``explore(Root, Count, Depth)``.
     """
-    stack: list[Motif] = [search_motif()]
+    core = search_motif()
     if termination:
-        stack.append(
-            short_circuit_motif(
-                entry=("explore", 3),
-                sync_outputs={("expand", 2): 1, ("sol", 2): 1},
-            )
-        )
-    stack.append(rand_motif())
-    stack.append(server_motif(server_library))
-    return ComposedMotif(stack)
+        core = short_circuit_motif(
+            entry=("explore", 3),
+            sync_outputs={("expand", 2): 1, ("sol", 2): 1},
+        ) @ core
+    return random_motif(server_library) @ core

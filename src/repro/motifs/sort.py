@@ -15,8 +15,7 @@ levels, then falls back to ``sort_seq``.
 from __future__ import annotations
 
 from repro.core.motif import ComposedMotif, Motif
-from repro.motifs.random_map import rand_motif
-from repro.motifs.server import server_motif
+from repro.motifs.random_map import random_motif
 from repro.motifs.termination import short_circuit_motif
 
 __all__ = ["SORT_LIBRARY", "sort_motif", "sort_stack"]
@@ -48,17 +47,10 @@ def sort_stack(
     Entry message: ``boot(Xs, Out, Depth, Done)`` with termination, else
     ``psort(Xs, Out, Depth)``.
     """
-    stack: list[Motif] = [sort_motif()]
+    core = sort_motif()
     if termination:
-        stack.append(
-            short_circuit_motif(
-                entry=("psort", 3),
-                sync_outputs={
-                    ("merge_sorted", 3): 2,
-                    ("sort_seq", 2): 1,
-                },
-            )
-        )
-    stack.append(rand_motif())
-    stack.append(server_motif(server_library))
-    return ComposedMotif(stack)
+        core = short_circuit_motif(
+            entry=("psort", 3),
+            sync_outputs={("merge_sorted", 3): 2, ("sort_seq", 2): 1},
+        ) @ core
+    return random_motif(server_library) @ core

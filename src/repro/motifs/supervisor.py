@@ -68,7 +68,7 @@ __all__ = [
     "SuperviseTransformation",
     "supervise_motif",
     "supervised_tree_reduce",
-    "supervised_tree1_stages",
+    "supervised_tree1",
     "SUPERVISE_LIBRARY",
     "TREE1_SUP_LIBRARY",
     "SUP_RUN",
@@ -366,26 +366,24 @@ def supervised_tree_reduce(
     the largest supervised subcomputation (half the tree), or healthy
     attempts will be retried and eventually degraded.
     """
-    return ComposedMotif([
-        *supervised_tree1_stages(retries, timeout, backoff, fallback),
-        server_motif(server_library),
-    ])
+    return server_motif(server_library) @ supervised_tree1(
+        retries, timeout, backoff, fallback
+    )
 
 
-def supervised_tree1_stages(retries: int, timeout: float, backoff: int,
-                            fallback: str) -> list[Motif]:
-    """The stages below the delivery layers of every supervised Tree1
-    stack: ``Rand ∘ Supervise ∘ Tree1′``, with ``sup_run/2`` as the
-    entry."""
-    return [
-        Motif(name="tree1-sup",
-              library=TREE1_SUP_LIBRARY.format(retries=retries)),
-        supervise_motif(
+def supervised_tree1(retries: int, timeout: float, backoff: int,
+                     fallback: str) -> ComposedMotif:
+    """``Rand ∘ Supervise ∘ Tree1′``, with ``sup_run/2`` as the entry: the
+    layers below delivery in every supervised Tree1 stack."""
+    return (
+        rand_motif(extra_entries=((SUP_RUN, 2),))
+        @ supervise_motif(
             outputs={("reduce", 2): 2},
             entry=("reduce", 2),
             timeout=timeout,
             backoff=backoff,
             fallback=fallback,
-        ),
-        rand_motif(extra_entries=((SUP_RUN, 2),)),
-    ]
+        )
+        @ Motif(name="tree1-sup",
+                library=TREE1_SUP_LIBRARY.format(retries=retries))
+    )

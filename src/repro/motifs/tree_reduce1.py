@@ -26,8 +26,7 @@ Experiment E6 compares the two under uniform and non-uniform node costs.
 from __future__ import annotations
 
 from repro.core.motif import ComposedMotif, Motif
-from repro.motifs.random_map import rand_motif
-from repro.motifs.server import server_motif
+from repro.motifs.random_map import random_motif
 from repro.motifs.termination import short_circuit_motif
 
 __all__ = [
@@ -98,17 +97,12 @@ def tree_reduce_1(
     ``boot(Tree, Value)``; without it, rely on engine quiescence and the
     entry message is ``reduce(Tree, Value)``.
     """
-    stack: list[Motif] = [tree1_motif()]
+    core = tree1_motif()
     if termination:
-        stack.append(
-            short_circuit_motif(
-                entry=("reduce", 2),
-                sync_outputs={("eval", 4): 3},
-            )
-        )
-    stack.append(rand_motif())
-    stack.append(server_motif(server_library))
-    return ComposedMotif(stack)
+        core = short_circuit_motif(
+            entry=("reduce", 2), sync_outputs={("eval", 4): 3}
+        ) @ core
+    return random_motif(server_library) @ core
 
 
 def static_tree_motif() -> Motif:

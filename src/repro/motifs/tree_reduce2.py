@@ -136,4 +136,4 @@ def tree_reduce_motif() -> Motif:
 
 def tree_reduce_2(server_library: str = "ports") -> ComposedMotif:
     """``Tree-Reduce-2 = Server ∘ TreeReduce`` (paper §3.5)."""
-    return server_motif(server_library).compose(tree_reduce_motif())
+    return server_motif(server_library) @ tree_reduce_motif()

@@ -293,20 +293,30 @@ def compile_pattern(pattern: Term) -> Callable[[Term, dict, list], bool]:
 
         return match_string
     if pt is Cons:
-        match_h = compile_pattern(pattern.head)
-        match_t = compile_pattern(pattern.tail)
+        # One matcher per element and one for the tail; the spine is walked
+        # in a loop, both here and in the match, so long lists do not recurse.
+        heads = []
+        while type(pattern) is Cons:
+            heads.append(compile_pattern(pattern.head))
+            pattern = deref(pattern.tail)
+        heads = tuple(heads)
+        match_tail = compile_pattern(pattern)
 
-        def match_cons(arg: Term, env: dict, blocked: list) -> bool:
-            arg = deref(arg)
-            at = type(arg)
-            if at is Var:
-                blocked.append(arg)
-                return True
-            if at is not Cons:
-                return False
-            return match_h(arg.head, env, blocked) and match_t(arg.tail, env, blocked)
+        def match_list(arg: Term, env: dict, blocked: list) -> bool:
+            for match_head in heads:
+                arg = deref(arg)
+                at = type(arg)
+                if at is not Cons:
+                    if at is Var:
+                        blocked.append(arg)
+                        return True
+                    return False
+                if not match_head(arg.head, env, blocked):
+                    return False
+                arg = arg.tail
+            return match_tail(arg, env, blocked)
 
-        return match_cons
+        return match_list
     if pt is Tup:
         subs = tuple(compile_pattern(a) for a in pattern.args)
         want = len(pattern.args)

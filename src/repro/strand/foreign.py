@@ -85,7 +85,8 @@ def to_python(term: Term) -> Any:
 
 
 def _to_python_keep_ground(term: Term) -> Term:
-    """Ground-check a struct argument without losing term structure."""
+    """Ground-check a struct argument without losing term structure.  List
+    spines are walked in a loop, so a long list does not recurse."""
     term = deref(term)
     t = type(term)
     if t is Var:
@@ -93,7 +94,11 @@ def _to_python_keep_ground(term: Term) -> Term:
     if t is Struct:
         return Struct(term.functor, tuple(_to_python_keep_ground(a) for a in term.args))
     if t is Cons:
-        return Cons(_to_python_keep_ground(term.head), _to_python_keep_ground(term.tail))
+        heads = []
+        while type(term) is Cons:
+            heads.append(_to_python_keep_ground(term.head))
+            term = deref(term.tail)
+        return make_list(heads, _to_python_keep_ground(term))
     if t is Tup:
         return Tup([_to_python_keep_ground(a) for a in term.args])
     return term

@@ -25,7 +25,9 @@ __all__ = ["Rule", "Procedure", "Program", "rule_key"]
 
 def _canon(term: Term, numbering: dict[int, int]) -> tuple:
     """A hashable canonical form with variables numbered by first
-    occurrence, so two renamings of one rule produce equal keys."""
+    occurrence, so two renamings of one rule produce equal keys.  A list
+    becomes its flat tuple of elements plus its tail: the spine is walked
+    in a loop, and the key does not nest once per element."""
     term = deref(term)
     tt = type(term)
     if tt is Var:
@@ -40,7 +42,11 @@ def _canon(term: Term, numbering: dict[int, int]) -> tuple:
     if tt is Tup:
         return ("t", tuple(_canon(a, numbering) for a in term.args))
     if tt is Cons:
-        return ("c", _canon(term.head, numbering), _canon(term.tail, numbering))
+        heads = []
+        while type(term) is Cons:
+            heads.append(_canon(term.head, numbering))
+            term = deref(term.tail)
+        return ("l", tuple(heads), _canon(term, numbering))
     if hasattr(term, "name"):  # Atom
         return ("a", term.name)
     return ("k", type(term).__name__, term)

@@ -5,8 +5,9 @@ composition (paper §2.2) interleaves transformations with library linking,
 
     M₂ ∘ M₁ (A) = T₂( T₁(A) ∪ L₁ ) ∪ L₂
 
-so stacks compose through :class:`~repro.core.motif.ComposedMotif`, never
-by chaining bare transformations.
+so stacks compose as motifs, ``m2 @ m1`` (a
+:class:`~repro.core.motif.ComposedMotif`), never by chaining bare
+transformations.
 """
 
 from __future__ import annotations

@@ -189,6 +189,22 @@ class TestCounterMerge:
         assert rows[1] == rows[0]
         assert rows[0][1][:3] == (0, 1, 1)  # p2: sends, hops, remote_bindings
 
+    def test_motif_counters_summed_over_workers(self):
+        # The Reliable motif's primitives bump FaultStats counters on the
+        # worker that runs them; every field reaches the merged metrics.
+        from repro import reliable_reduce_tree
+        from repro.apps.arithmetic import arithmetic_tree, eval_arith_node
+
+        results = [
+            reliable_reduce_tree(arithmetic_tree(64, seed=3), eval_arith_node,
+                                 machine=machine)
+            for machine in (Machine(4, seed=1),
+                            Machine(4, seed=1, backend="parallel", workers=2))
+        ]
+        assert results[1].value == results[0].value
+        assert results[0].metrics.rel_acks == 63
+        assert results[1].metrics.rel_acks == results[0].metrics.rel_acks
+
 
 class TestDeterminism:
     def test_repeated_runs_identical(self):

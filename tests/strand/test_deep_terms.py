@@ -4,12 +4,17 @@ The seed implementations of ``rename_term``, ``instantiate``, and the
 head-match walkers recursed down list spines, so a 100k-element list blew
 the interpreter's recursion limit.  These tests pin the iterative rewrites
 end to end: every walker that touches user terms has to survive a list far
-deeper than any recursion limit.
+deeper than any recursion limit.  The match cases run both through the
+reference matcher and through the compiled rule selection the runtime uses.
 """
 
 import pytest
 
+from repro.strand.arith import Suspend
+from repro.strand.compile import compile_program
+from repro.strand.foreign import to_python
 from repro.strand.match import MatchResult, instantiate, match_head
+from repro.strand.program import Program, Rule, rule_key
 from repro.strand.terms import (
     Cons,
     NIL,
@@ -31,6 +36,12 @@ def deep_list(n: int = DEEP, tail=NIL) -> Cons:
     for i in range(n, 0, -1):
         term = Cons(i, term)
     return term
+
+
+def compiled_select(head: Struct, goal_args: tuple):
+    """Select among the one-rule procedure ``head.`` as the runtime does."""
+    program = compile_program(Program([Rule(head)]))
+    return program.procedure(head.indicator).select(goal_args)
 
 
 class TestDeepRename:
@@ -89,6 +100,23 @@ class TestDeepMatch:
         assert result.status == MatchResult.SUSPENDED
         assert deref(result.blocked[0]) is hole
 
+    def test_select_nonlinear_deep(self):
+        x = Var("X")
+        assert compiled_select(Struct("p", (x, x)), (deep_list(), deep_list()))
+
+    def test_select_deep_mismatch(self):
+        pattern_list = deep_list(DEEP, tail=Cons(Struct("end", (1,)), NIL))
+        call_list = deep_list(DEEP, tail=Cons(Struct("end", (2,)), NIL))
+        assert compiled_select(Struct("p", (pattern_list,)), (call_list,)) is None
+
+    def test_select_deep_suspend(self):
+        hole = Var("Hole")
+        call_list = deep_list(DEEP, tail=Cons(hole, NIL))
+        pattern = deep_list(DEEP, tail=Cons(Struct("end", ()), NIL))
+        with pytest.raises(Suspend) as info:
+            compiled_select(Struct("p", (pattern,)), (call_list,))
+        assert deref(info.value.variables[0]) is hole
+
 
 class TestDeepInstantiate:
     def test_instantiate_deep_body(self):
@@ -116,6 +144,21 @@ class TestDeepConversions:
     def test_make_list_round_trip(self):
         data = list(range(DEEP))
         assert list_to_python(make_list(data)) == data
+
+    def test_to_python_struct_with_deep_list(self):
+        # Structure arguments keep their term form; a long list argument
+        # is ground-checked without recursing down its tail.
+        out = to_python(Struct("f", (deep_list(),)))
+        assert out.functor == "f"
+        assert term_eq(out.args[0], deep_list())
+
+    def test_rule_key_of_deep_literal_list(self):
+        x = Var("X")
+        rule = Rule(Struct("go", (x,)), body=[Struct(":=", (x, deep_list()))])
+        assert rule_key(rule.rename()) == rule_key(rule)
+        other = Rule(Struct("go", (x,)),
+                     body=[Struct(":=", (x, deep_list(DEEP, tail=Cons(0, NIL))))])
+        assert rule_key(other) != rule_key(rule)
 
 
 class TestDeepEndToEnd:

@@ -2,7 +2,7 @@
 than no docs)."""
 
 from repro.core.api import run_applied
-from repro.core.motif import ComposedMotif, Motif
+from repro.core.motif import Motif
 from repro.machine import Machine
 from repro.motifs import rand_motif, server_motif
 from repro.strand import ForeignRegistry, lint_program, parse_program
@@ -58,11 +58,11 @@ class TestTutorialSteps:
     def test_step_4_distributed_composition(self):
         registry, attempts = flaky_registry(4)
         retry = Motif("retry", library=RETRY_DISTRIBUTED)
-        stack = ComposedMotif([
-            retry,
-            rand_motif(extra_entries=(("retry", 2),)),
-            server_motif(),
-        ])
+        stack = (
+            server_motif()
+            @ rand_motif(extra_entries=(("retry", 2),))
+            @ retry
+        )
         applied = stack.apply(parse_program("", name="my-app"))
         out = Var("Out")
         goal = Struct("create", (3, Struct("retry", (1, out))))
@@ -72,11 +72,11 @@ class TestTutorialSteps:
 
     def test_step_4_stages_are_printable(self):
         retry = Motif("retry", library=RETRY_DISTRIBUTED)
-        stack = ComposedMotif([
-            retry,
-            rand_motif(extra_entries=(("retry", 2),)),
-            server_motif(),
-        ])
+        stack = (
+            server_motif()
+            @ rand_motif(extra_entries=(("retry", 2),))
+            @ retry
+        )
         stages = stack.apply_staged(parse_program("", name="a"))
         assert len(stages) == 3
         for stage in stages:
