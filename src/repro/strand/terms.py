@@ -265,37 +265,53 @@ def is_list_term(term: Term) -> bool:
 def term_eq(a: Term, b: Term) -> bool:
     """Structural equality of two terms; unbound variables are equal only to
     themselves (identity)."""
+    decided, equal = _ground_equal(a, b, [])
+    return decided and equal
+
+
+def _ground_equal(a: Term, b: Term, blocked: list[Var]) -> tuple[bool, bool]:
+    """(decided?, equal?) for structural equality.
+
+    The one structural-equality walker: the ``==``/``\\==`` guards read
+    both halves, :func:`term_eq` (binding checks, ``:=``) reads
+    ``decided and equal``.  An unbound variable that identity does not
+    settle is appended to ``blocked`` and leaves the verdict undecided.
+    Iterative (left-to-right DFS over a pair stack) so deep lists cannot
+    blow the interpreter stack; the first pair that is not definitely
+    equal settles the verdict.
+    """
     stack = [(a, b)]
     while stack:
-        x, y = stack.pop()
-        x, y = deref(x), deref(y)
-        if x is y:
+        a, b = stack.pop()
+        a, b = deref(a), deref(b)
+        if a is b:
             continue
-        tx, ty = type(x), type(y)
-        if tx is Var or ty is Var:
-            return False  # distinct unbound variables
-        if tx is not ty:
-            # int/float cross-compare numerically, like Python ==
-            if isinstance(x, (int, float)) and isinstance(y, (int, float)):
-                if x != y:
-                    return False
-                continue
-            return False
-        if tx is Struct:
-            if x.functor != y.functor or len(x.args) != len(y.args):
-                return False
-            stack.extend(zip(x.args, y.args))
-        elif tx is Tup:
-            if len(x.args) != len(y.args):
-                return False
-            stack.extend(zip(x.args, y.args))
-        elif tx is Cons:
-            stack.append((x.head, y.head))
-            stack.append((x.tail, y.tail))
-        else:
-            if x != y:
-                return False
-    return True
+        if type(a) is Var:
+            blocked.append(a)
+            return False, False
+        if type(b) is Var:
+            blocked.append(b)
+            return False, False
+        ta, tb = type(a), type(b)
+        if ta is Struct and tb is Struct:
+            if a.functor != b.functor or len(a.args) != len(b.args):
+                return True, False
+            stack.extend(zip(reversed(a.args), reversed(b.args)))
+        elif ta is Cons and tb is Cons:
+            stack.append((a.tail, b.tail))
+            stack.append((a.head, b.head))
+        elif ta is Tup and tb is Tup:
+            if len(a.args) != len(b.args):
+                return True, False
+            stack.extend(zip(reversed(a.args), reversed(b.args)))
+        elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
+            if a != b:
+                return True, False
+        elif ta is not tb:
+            return True, False
+        elif a != b:
+            return True, False
+    return True, True
 
 
 def term_vars(term: Term) -> list[Var]:
@@ -348,10 +364,9 @@ def copy_term(term: Term, var_image: Callable[[Var], Term]) -> Term:
     Iterative like :func:`term_size`/:func:`walk_terms` — a recursive copy
     blows the interpreter stack around 20k cons cells, and list spines of
     that depth are ordinary data here (repro: ``rename_term(make_list(
-    range(20000)))``).  Shared by :func:`rename_term` and the interpretive
-    matcher's ``instantiate`` (:mod:`repro.strand.match`) so both copying
-    paths stay stack-safe; the reducer builds bodies from the compiled
-    templates of :mod:`repro.strand.compile` instead.
+    range(20000)))``).  Used by :func:`rename_term`; the reducer builds
+    bodies from the compiled templates of :mod:`repro.strand.compile`
+    instead.
 
     The work stack holds terms to visit plus marker tuples; a marker pops
     its node's finished children off the output stack and pushes the

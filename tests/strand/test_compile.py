@@ -18,9 +18,26 @@ from repro.strand.compile import (
     compile_template,
     symbol_table,
 )
-from repro.strand.match import MatchResult, eval_guards, match_head
 from repro.strand.program import Procedure, Rule
-from repro.strand.terms import Atom, Cons, NIL, Struct, Tup, Var, deref
+from repro.strand.streams import PortRef
+from repro.strand.terms import (
+    Atom,
+    Cons,
+    NIL,
+    Struct,
+    Tup,
+    Var,
+    copy_term,
+    deref,
+    make_list,
+    term_vars,
+)
+from tests.strand.reference_match import (
+    MatchResult,
+    eval_guards,
+    instantiate,
+    match_head,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +88,51 @@ def reference_select(rules, goal):
     return ("fail",)
 
 
+def reference_body(rule, goal):
+    """The oracle's instance of ``rule``'s body for ``goal`` (which commits)."""
+    m = match_head(rule.head, goal)
+    eval_guards(rule.guards, m.env)  # may give guard-only variables fresh values
+    fresh = {}
+    return [instantiate(term, m.env, fresh) for term in rule.body]
+
+
+def compiled_body(compiled: CompiledProcedure, goal):
+    crule, env = compiled.select(goal.args)
+    fresh = {}
+    return [build(env, fresh) for build in crule.body]
+
+
+def is_variant(a, b) -> bool:
+    """Equal up to a one-to-one renaming of unbound variables."""
+    forward, backward = {}, {}
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        x, y = deref(x), deref(y)
+        tx, ty = type(x), type(y)
+        if tx is not ty:
+            return False
+        if tx is Var:
+            if forward.setdefault(id(x), y) is not y:
+                return False
+            if backward.setdefault(id(y), x) is not x:
+                return False
+        elif tx is Struct:
+            if x.functor != y.functor or len(x.args) != len(y.args):
+                return False
+            stack.extend(zip(x.args, y.args))
+        elif tx is Tup:
+            if len(x.args) != len(y.args):
+                return False
+            stack.extend(zip(x.args, y.args))
+        elif tx is Cons:
+            stack.append((x.tail, y.tail))
+            stack.append((x.head, y.head))
+        elif x != y:
+            return False
+    return True
+
+
 def compiled_select(compiled: CompiledProcedure, goal):
     try:
         selected = compiled.select(goal.args)
@@ -111,12 +173,49 @@ def _patterns(depth):
 _GUARDS = st.sampled_from([None, (">", 1), ("<", 3), ("==", Atom("a"))])
 
 
+#: Placeholders for a rule's variables in generated bodies; each rule maps
+#: them onto its own head variables and body-only (fresh) variables.
+_SLOTS = [Var(f"V{i}") for i in range(4)]
+
+
+def _body_terms(depth):
+    """Body arguments: structures, tuples, variables, and list literals,
+    some longer than the recursion limit."""
+    leaf = st.one_of(
+        st.sampled_from(_ATOMS),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from(_SLOTS),
+    )
+    if depth == 0:
+        return leaf
+    sub = _body_terms(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(lambda a, b: Struct("h", (a, b)), sub, sub),
+        st.builds(lambda a: Tup([a]), sub),
+        st.builds(
+            lambda n, last, tail: make_list([*range(n), last], tail),
+            st.sampled_from([0, 2, 1500]),
+            sub,
+            st.one_of(st.just(NIL), st.sampled_from(_SLOTS)),
+        ),
+    )
+
+
+# Strategies are built once: building them per draw dominates the run time.
+_HEAD_PATTERNS = _patterns(2)
+_BODIES = st.lists(
+    st.builds(lambda a, b: Struct("q", (a, b)), _body_terms(2), _body_terms(2)),
+    max_size=3,
+)
+
+
 @st.composite
 def _procedures(draw):
     n_rules = draw(st.integers(min_value=1, max_value=8))
     proc = Procedure("p", 2)
     for i in range(n_rules):
-        pat = draw(_patterns(2))
+        pat = draw(_HEAD_PATTERNS)
         second = Var("X")
         out = Var("Out")
         guard_spec = draw(_GUARDS)
@@ -125,13 +224,21 @@ def _procedures(draw):
             name, operand = guard_spec
             guards = [Struct(name, (second, operand))]
         head = Struct("p", (pat, draw(st.sampled_from([second, out]))))
-        proc.add(Rule(head=head, guards=guards, body=[]))
+        # Slots name head variables first, then variables only the body has.
+        rule_vars = term_vars(head) + [Var("F"), Var("G")]
+        slot_vars = {id(slot): var for slot, var in zip(_SLOTS, rule_vars)}
+        body = [copy_term(goal, lambda slot: slot_vars.get(id(slot), rule_vars[-1]))
+                for goal in draw(_BODIES)]
+        proc.add(Rule(head=head, guards=guards, body=body))
     return proc
 
 
 @st.composite
 def _goals(draw):
-    first = draw(_patterns(2))
+    first = draw(st.one_of(
+        _HEAD_PATTERNS,
+        st.builds(lambda: PortRef(Var(), owner=1)),
+    ))
     second = draw(st.one_of(
         st.integers(min_value=0, max_value=4),
         st.sampled_from(_ATOMS),
@@ -149,6 +256,23 @@ class TestIndexedEquivalence:
         expected = reference_select(proc.rules, goal)
         assert compiled_select(linear, goal) == expected
         assert compiled_select(indexed, goal) == expected
+        if expected[0] == "commit":
+            body = Tup(reference_body(proc.rules[expected[1]], goal))
+            assert is_variant(Tup(compiled_body(indexed, goal)), body)
+            assert is_variant(Tup(compiled_body(linear, goal)), body)
+
+    def test_port_first_argument_falls_back_to_wildcards(self):
+        # A port matches only a variable head argument; indexed selection
+        # must offer the wildcard rules rather than reject the port.
+        src = """
+        go(Out, S) :- open_port(P, S), p(P, Out).
+        p(none, Out) :- Out := no.
+        p(P, Out) :- Out := yes.
+        """
+        program = parse_program(src)
+        for indexing in (True, False):
+            result = run_query(program, "go(Out, S)", indexing=indexing)
+            assert deref(result.bindings["Out"]) is Atom("yes"), indexing
 
     def test_var_headed_rules_stay_in_every_bucket(self):
         proc = Procedure("p", 1)
@@ -257,6 +381,16 @@ class TestTemplates:
         first = build({}, {})
         second = build({}, {})
         assert first is not second and first is not term
+
+    def test_list_literal_shares_its_ground_suffix(self):
+        x = Var("X")
+        term = make_list([x, Tup([]), 1, 2], Cons(3, NIL))
+        build = compile_template(term)
+        env, fresh = {id(x): 7}, {}
+        first, second = build(env, fresh), build(env, fresh)
+        assert first.head == 7 and first.tail is not second.tail
+        suffix = deref(deref(term.tail).tail)
+        assert first.tail.tail is suffix and second.tail.tail is suffix
 
     def test_fresh_vars_shared_across_goals_of_a_rule(self):
         shared = Var("S")

@@ -4,8 +4,9 @@ The seed implementations of ``rename_term``, ``instantiate``, and the
 head-match walkers recursed down list spines, so a 100k-element list blew
 the interpreter's recursion limit.  These tests pin the iterative rewrites
 end to end: every walker that touches user terms has to survive a list far
-deeper than any recursion limit.  The match cases run both through the
-reference matcher and through the compiled rule selection the runtime uses.
+deeper than any recursion limit.  The match and instantiate cases run on
+the compiled path the runtime uses (rule selection and body builders); their
+``…Oracle`` subclasses run them on the reference matcher as well.
 """
 
 import pytest
@@ -13,7 +14,6 @@ import pytest
 from repro.strand.arith import Suspend
 from repro.strand.compile import compile_program
 from repro.strand.foreign import to_python
-from repro.strand.match import MatchResult, instantiate, match_head
 from repro.strand.program import Program, Rule, rule_key
 from repro.strand.terms import (
     Cons,
@@ -27,6 +27,8 @@ from repro.strand.terms import (
     rename_term,
     term_eq,
 )
+from tests.strand.matchers import COMPILED, ORACLE
+from tests.strand.reference_match import MatchResult
 
 DEEP = 100_000
 
@@ -68,11 +70,11 @@ class TestDeepRename:
         assert list_to_python(deep_list(10)) == list(range(1, 11))
 
 
-class TestDeepMatch:
+class _DeepMatchCases:
     def test_match_head_deep_ground_list(self):
         big = deep_list()
         head = Struct("p", (Var("Xs"),))
-        result = match_head(head, Struct("p", (big,)))
+        result = self.matcher.match(head, Struct("p", (big,)))
         assert result.status == MatchResult.MATCHED
 
     def test_match_head_nonlinear_deep(self):
@@ -81,14 +83,14 @@ class TestDeepMatch:
         big = deep_list()
         x = Var("X")
         head = Struct("p", (x, x))
-        result = match_head(head, Struct("p", (big, deep_list())))
+        result = self.matcher.match(head, Struct("p", (big, deep_list())))
         assert result.status == MatchResult.MATCHED
 
     def test_match_head_deep_mismatch(self):
         pattern_list = deep_list(DEEP, tail=Cons(Struct("end", (1,)), NIL))
         call_list = deep_list(DEEP, tail=Cons(Struct("end", (2,)), NIL))
         head = Struct("p", (pattern_list,))
-        result = match_head(head, Struct("p", (call_list,)))
+        result = self.matcher.match(head, Struct("p", (call_list,)))
         assert result.status == MatchResult.FAILED
 
     def test_match_head_deep_suspend(self):
@@ -96,9 +98,13 @@ class TestDeepMatch:
         call_list = deep_list(DEEP, tail=Cons(hole, NIL))
         pattern = deep_list(DEEP, tail=Cons(Struct("end", ()), NIL))
         head = Struct("p", (pattern,))
-        result = match_head(head, Struct("p", (call_list,)))
+        result = self.matcher.match(head, Struct("p", (call_list,)))
         assert result.status == MatchResult.SUSPENDED
         assert deref(result.blocked[0]) is hole
+
+
+class TestDeepMatch(_DeepMatchCases):
+    matcher = COMPILED
 
     def test_select_nonlinear_deep(self):
         x = Var("X")
@@ -118,21 +124,31 @@ class TestDeepMatch:
         assert deref(info.value.variables[0]) is hole
 
 
+class TestDeepMatchOracle(_DeepMatchCases):
+    matcher = ORACLE
+
+
 class TestDeepInstantiate:
+    matcher = COMPILED
+
     def test_instantiate_deep_body(self):
         xs = Var("Xs")
         env = {id(xs): deep_list()}
         body = Struct("consume", (xs, Var("Out")))
-        out = instantiate(body, env, {})
+        out = self.matcher.instantiate(body, env, {})
         assert list_to_python(deref(out.args[0]))[:3] == [1, 2, 3]
 
     def test_instantiate_fresh_at_depth(self):
         tail_var = Var("T")
         body = deep_list(DEEP, tail=tail_var)
         fresh: dict = {}
-        out = instantiate(body, {}, fresh)
+        out = self.matcher.instantiate(body, {}, fresh)
         assert id(tail_var) in fresh
         assert len(fresh) == 1
+
+
+class TestDeepInstantiateOracle(TestDeepInstantiate):
+    matcher = ORACLE
 
 
 class TestDeepConversions:
@@ -178,6 +194,15 @@ class TestDeepEndToEnd:
         """
         result = run(src, f"go({n}, Out)", max_reductions=500_000)
         assert result.value("Out") == n * (n + 1) // 2
+
+    def test_long_list_literal_in_body(self):
+        # A list literal longer than the recursion limit, ending in a head
+        # variable, compiled and built by the body builder.
+        from tests.helpers import run
+
+        elements = ", ".join(str(i) for i in range(3000))
+        result = run(f"p(X, L) :- L := [{elements}, X].", "p(7, L)")
+        assert result.value("L") == list(range(3000)) + [7]
 
     def test_deep_reduce_tree(self):
         # End-to-end motif run on a maximally unbalanced tree: rename_term
