@@ -328,7 +328,7 @@ def _apply_message(shard: _ShardContext, msg: tuple) -> None:
     engine = shard.engine
     if kind == "spawn":
         dst, ready, lib, ops = payload
-        engine.deliver_spawn(thaw(ops, shard), dst, ready, lib)
+        engine.spawn(thaw(ops, shard), dst, ready, lib, inherit=True)
     elif kind == "bind":
         vid, proc, ops = payload
         target = shard.replica(vid, "_Remote")

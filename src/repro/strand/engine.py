@@ -43,7 +43,7 @@ from repro.strand.compile import CompiledProgram, compile_program
 from repro.strand.foreign import ForeignRegistry, to_python
 from repro.strand.parser import parse_query
 from repro.strand.program import Program
-from repro.strand.reducer import Reducer
+from repro.strand.reducer import PRIMITIVE, Reducer
 from repro.strand.scheduler import Process, Scheduler
 from repro.strand.streams import PortRef
 from repro.strand.terms import Atom, Cons, NIL, Struct, Term, Var, deref, term_eq
@@ -177,34 +177,48 @@ class StrandEngine:
     # ------------------------------------------------------------------
     def spawn(self, goal: Term, proc: int = 1, ready: float = 0.0,
               lib: bool | None = None, cause: int | None = None,
-              motif: str | None = None) -> Process:
+              motif: str | None = None, inherit: bool = False) -> Process:
         """Add a process to the pool on processor ``proc`` (1-based).
 
         ``cause`` is the trace event id the spawn links back to (``None`` =
-        current causal context); ``motif`` overrides provenance lookup (the
-        reducer passes the spawning rule's tag for builtin continuations).
+        current causal context).  The process keeps its goal's link target
+        (:meth:`Reducer.link`), and is classified by it — ``lib`` (library
+        or user cost) and ``motif`` (provenance) — under three rules:
+
+        * a rule's body goal (``inherit``, the rule's ``lib`` and ``motif``):
+          a primitive inherits both, any other goal is classified by library
+          membership and its own tag;
+        * a goal arriving by ``@`` or on the parallel wire (``inherit``, the
+          sender's ``lib``): a primitive inherits the sender's lib flag, any
+          other goal is classified by its indicator;
+        * ``call/1`` (``lib``) passes on the caller's lib flag and looks
+          provenance up; Supervise's ``sup_spawn(Copy) :- call(Copy)``
+          depends on this.
+
+        Otherwise a given ``lib`` or ``motif`` wins; ``None`` looks it up.
         """
-        goal = deref(goal)
-        if type(goal) is Atom:
-            goal = Struct(goal.name, ())
         if type(goal) is not Struct:
-            raise StrandError(f"cannot spawn non-goal term {goal!r}")
-        indicator = goal.indicator
-        if lib is None:
-            lib = indicator in self.library
-        watched = indicator in self.watched
+            goal = deref(goal)
+            if type(goal) is Atom:
+                goal = Struct(goal.name, ())
+            elif type(goal) is not Struct:
+                raise StrandError(f"cannot spawn non-goal term {goal!r}")
+        target = self.reducer.links[goal.functor, len(goal.args)]
+        kind, _fn, target_lib, watched, target_motif = target
+        if lib is None or inherit and kind is not PRIMITIVE:
+            lib = target_lib
+        if motif is None or inherit and kind is not PRIMITIVE:
+            motif = target_motif
         scheduler = self.scheduler
-        process = Process(goal, proc, ready, scheduler.next_seq(), lib, watched)
+        process = Process(goal, proc, ready, scheduler.next_seq(), lib,
+                          target, motif)
         vp = self.machine.procs[proc - 1]
         vp.spawns += 1
         if watched:
             vp.task_spawned()
         scheduler.push(process)
         trace = self.machine.trace
-        if trace.enabled or self.profile is not None:
-            if motif is None:
-                motif = self.compiled.motif_of.get(indicator)
-            process.motif = motif
+        if trace.enabled:
             eid = trace.record(ready, proc, "spawn", goal.functor,
                                cause=cause, motif=motif or "")
             # The spawn becomes the child's causal context; if it was
@@ -235,18 +249,7 @@ class StrandEngine:
             if shard is not None and not shard.owns(dst):
                 shard.remote_spawn(goal, dst, now + latency, lib, now)
                 return None
-        return self.deliver_spawn(goal, dst, now + latency, lib, cause)
-
-    def deliver_spawn(self, goal: Term, dst: int, ready: float, lib: bool,
-                      cause: int | None = None) -> Process:
-        """Spawn a task that arrived as a message: a primitive inherits the
-        sender's lib flag, any other goal is classified by its indicator."""
-        goal_d = deref(goal)
-        indicator_lib = None
-        if type(goal_d) is Struct and goal_d.indicator in self.reducer.primitives:
-            indicator_lib = lib
-        return self.spawn(goal, dst, ready=ready, lib=indicator_lib,
-                          cause=cause)
+        return self.spawn(goal, dst, now + latency, lib, cause, inherit=True)
 
     def _send(self, src: int, dst: int, now: float, kind: str, msg: Term,
               duplicable: bool = True) -> tuple[str, float, int | None]:

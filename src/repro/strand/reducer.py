@@ -2,7 +2,8 @@
 
 A reduction attempt dispatches a process goal to a *primitive* (a builtin
 or a raw foreign procedure — a motif's runtime support), a foreign (Python)
-procedure, or a user procedure of the :class:`CompiledProgram`.
+procedure, or a user procedure of the :class:`CompiledProgram`: the target
+its engine linked once for the goal's indicator (:meth:`Reducer.link`).
 User-rule selection goes through the compiled procedure's first-argument
 index (see :mod:`repro.strand.compile`): the committed rule is always the
 first *textually* matching one, exactly as the seed's linear scan chose, but
@@ -31,6 +32,17 @@ __all__ = ["Reducer", "REDUCTION_COST"]
 #: Virtual time one user-rule reduction costs.
 REDUCTION_COST = 1.0
 
+#: Dispatch kinds of a link target (see :meth:`Reducer.link`).
+PRIMITIVE, FOREIGN, USER, UNKNOWN = range(4)
+
+
+class _LinkTable(dict):
+    """``indicator -> target``; only a miss makes a Python call (a link)."""
+
+    def __missing__(self, indicator):
+        target = self[indicator] = self.link(indicator)
+        return target
+
 
 class Reducer:
     """Executes single reductions against a compiled program.
@@ -46,9 +58,28 @@ class Reducer:
         self.compiled = compiled
         self.foreign = foreign
         # Builtins and raw foreign procedures share one contract, one
-        # dispatch lookup, and one accounting rule: a primitive inherits its
+        # dispatch kind, and one accounting rule: a primitive inherits its
         # spawning rule's lib flag and motif tag.  Builtins win a name clash.
         self.primitives = {**foreign.raw_table(), **BUILTINS}
+        self.links = _LinkTable()
+        self.links.link = self.link
+
+    def link(self, indicator: tuple[str, int]) -> tuple:
+        """``(kind, fn, lib, watched, motif)`` for ``indicator`` on this
+        engine; ``self.links`` calls it once per indicator.  The target is,
+        in this precedence, a builtin or raw foreign procedure
+        (``PRIMITIVE``), a foreign one, a user :class:`CompiledProcedure`,
+        or ``UNKNOWN`` (an error only once a goal is reduced).  ``lib``,
+        ``watched`` and ``motif`` feed :meth:`StrandEngine.spawn`."""
+        engine, compiled = self.engine, self.compiled
+        kind, fn = PRIMITIVE, self.primitives.get(indicator)
+        if fn is None:
+            kind, fn = FOREIGN, self.foreign.lookup(*indicator)
+        if fn is None:
+            fn = compiled.procedure(indicator)
+            kind = UNKNOWN if fn is None else USER
+        return (kind, fn, indicator in engine.library,
+                indicator in engine.watched, compiled.motif_of.get(indicator))
 
     def execute(self, process: Process, now: float) -> float | None:
         """One reduction attempt.  Returns the cost, or ``None`` if the
@@ -60,24 +91,24 @@ class Reducer:
             # binds, sends, the reduce itself) link to the event that made
             # this process runnable.
             trace.cause = process.cause_evt
-        goal = deref(process.goal)
-        if type(goal) is Atom:
-            goal = Struct(goal.name, ())
-            process.goal = goal
-        indicator = goal.indicator
+        goal = process.goal
+        kind, fn, _lib, watched, _motif = process.target
         profile = engine.profile
         if profile is not None:
-            profile.begin(process.motif, indicator)
-        primitive = self.primitives.get(indicator)
+            profile.begin(process.motif, (goal.functor, len(goal.args)))
         try:
-            if primitive is not None:
-                cost = primitive(engine, process, goal.args, now)
+            if kind is USER:
+                cost = self._reduce_user(process, goal, fn, now)
+            elif kind is PRIMITIVE:
+                cost = fn(engine, process, goal.args, now)
+            elif kind is FOREIGN:
+                cost = self._call_foreign(fn, process, goal, now)
             else:
-                foreign = self.foreign.lookup(*indicator)
-                if foreign is not None:
-                    cost = self._call_foreign(foreign, process, goal, now)
-                else:
-                    cost = self._reduce_user(process, goal, now)
+                raise UnknownProcedureError(
+                    f"no procedure, builtin, or foreign function "
+                    f"{goal.functor}/{len(goal.args)} "
+                    f"(goal: {process.describe()})"
+                )
         except Suspend as s:
             if profile is not None:
                 profile.suspension()
@@ -88,7 +119,7 @@ class Reducer:
         process.state = DONE
         machine = engine.machine
         vp = machine.procs[process.proc - 1]
-        if process.watched:
+        if watched:
             vp.task_finished()
         if process.lib:
             machine.library_cost += cost
@@ -99,13 +130,8 @@ class Reducer:
                          motif=process.motif or "", dur=cost)
         return cost
 
-    def _reduce_user(self, process: Process, goal: Struct, now: float) -> float:
-        procedure = self.compiled.procedure(goal.indicator)
-        if procedure is None:
-            raise UnknownProcedureError(
-                f"no procedure, builtin, or foreign function "
-                f"{goal.functor}/{len(goal.args)} (goal: {process.describe()})"
-            )
+    def _reduce_user(self, process: Process, goal: Struct, procedure,
+                     now: float) -> float:
         selected = procedure.select(goal.args)  # raises Suspend when blocked
         if selected is None:
             from repro.strand.pretty import format_term
@@ -122,36 +148,19 @@ class Reducer:
             process.motif = rule_motif
             profile = self.engine.profile
             if profile is not None:
-                profile.begin(rule_motif, goal.indicator)
+                profile.begin(rule_motif, (goal.functor, len(goal.args)))
         # Commit: spawn the body.
         cost = REDUCTION_COST
         fresh: dict[int, Var] = {}
         done = now + cost
+        spawn = self.engine.spawn
+        proc, lib, motif = process.proc, process.lib, process.motif
         for builder in crule.body:
-            self._spawn_body(builder(env, fresh), process, done)
+            child = builder(env, fresh)
+            if type(child) is not Struct:
+                child = _body_goal(child, process)
+            spawn(child, proc, done, lib, None, motif, True)
         return cost
-
-    def _spawn_body(self, inst: Term, parent: Process, ready: float) -> None:
-        inst_d = deref(inst)
-        if type(inst_d) is Atom:
-            inst_d = Struct(inst_d.name, ())
-        if type(inst_d) is not Struct:
-            raise StrandError(
-                f"body goal {inst_d!r} of {parent.describe()} is not callable"
-            )
-        indicator = inst_d.indicator
-        if indicator in self.primitives:
-            # Primitives inherit the spawning rule's accounting and provenance.
-            lib: bool | None = parent.lib
-            motif: str | None = parent.motif
-        elif indicator in self.engine.library:
-            lib = True
-            motif = None
-        else:
-            lib = False
-            motif = None
-        self.engine.spawn(inst_d, parent.proc, ready=ready, lib=lib,
-                          motif=motif)
 
     def _call_foreign(self, fp, process: Process, goal: Struct, now: float) -> float:
         engine = self.engine
@@ -180,3 +189,15 @@ class Reducer:
             for idx, value in zip(outputs, results):
                 engine.bind(goal.args[idx], from_python(value), process.proc, now)
         return cost
+
+
+def _body_goal(term: Term, parent: Process) -> Struct:
+    """A body goal not built as a structure: a bound variable or an atom."""
+    goal = deref(term)
+    if type(goal) is Atom:
+        return Struct(goal.name, ())
+    if type(goal) is not Struct:
+        raise StrandError(
+            f"body goal {goal!r} of {parent.describe()} is not callable"
+        )
+    return goal

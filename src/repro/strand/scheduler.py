@@ -40,26 +40,26 @@ class Process:
 
     ``cause_evt`` is the trace event id that made the process runnable (its
     spawn, or the latest wake) — the causal context every event recorded
-    during its reduction links back to.  ``motif`` is the provenance tag of
-    the procedure the goal calls (``None`` for user code); both stay at
-    their defaults when observability is off.
+    during its reduction links back to; it stays 0 when tracing is off.
+    ``motif`` is the provenance tag of the procedure the goal calls
+    (``None`` for user code); ``target`` is the goal's link target.
     """
 
-    __slots__ = ("goal", "proc", "ready", "state", "seq", "lib", "watched",
-                 "blocked_on", "cause_evt", "motif")
+    __slots__ = ("goal", "proc", "ready", "state", "seq", "lib",
+                 "blocked_on", "cause_evt", "motif", "target")
 
     def __init__(self, goal: Struct, proc: int, ready: float, seq: int,
-                 lib: bool, watched: bool):
+                 lib: bool, target: tuple, motif: str | None = None):
         self.goal = goal
         self.proc = proc
         self.ready = ready
         self.state = RUNNABLE
         self.seq = seq
         self.lib = lib
-        self.watched = watched
         self.blocked_on: list[Var] | None = None
         self.cause_evt = 0
-        self.motif: str | None = None
+        self.motif = motif
+        self.target = target
 
     def describe(self) -> str:
         from repro.strand.pretty import format_term
