@@ -34,9 +34,9 @@ the traced-mode budgets, because sub-100ms A/B timing on shared CI
 runners flaps far beyond the margin being tested (and shallow clones may
 lack the baseline commit entirely, which is reported as unavailable).
 
-Results go to ``benchmarks/BENCH_observability.json``.  Run standalone
-with ``python benchmarks/bench_observability.py [--smoke]`` or under
-pytest with the rest of the benchmark suite.
+Run standalone with ``python benchmarks/bench_observability.py [--smoke]``
+or under pytest with the rest of the benchmark suite.  Only the full
+configuration run standalone rewrites ``benchmarks/BENCH_observability.json``.
 """
 
 from __future__ import annotations
@@ -242,7 +242,6 @@ def run_bench(config) -> dict:
         "modes": rows,
         "pre_pr_baseline": baseline,
     }
-    JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     # Instrumentation must be invisible in virtual time: same answer,
     # same makespan, in every mode.
@@ -309,4 +308,6 @@ if __name__ == "__main__":
     args = parser.parse_args()
     payload = run_bench(SMOKE if args.smoke else FULL)
     print(render(payload))
-    print(f"\nwrote {JSON_PATH}")
+    if not args.smoke:
+        JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"\nwrote {JSON_PATH}")

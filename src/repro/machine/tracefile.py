@@ -40,6 +40,7 @@ __all__ = [
 
 _FORMAT = "repro-trace"
 _VERSION = 1
+_quote = json.encoder.encode_basestring_ascii  # json.dumps's string encoder
 
 
 def event_to_dict(event: TraceEvent) -> dict[str, Any]:
@@ -96,7 +97,24 @@ class TraceSink:
         return cls(Path(path).open("w"), meta=meta)
 
     def write(self, event: TraceEvent) -> None:
-        self.stream.write(json.dumps(event_to_dict(event)) + "\n")
+        """Append ``json.dumps(event_to_dict(event))`` and a newline.  The
+        line is formatted directly (this runs once per traced event):
+        numbers by ``repr`` and strings by the encoder ``json.dumps`` uses,
+        with the same sparse keys in the same order."""
+        time, dur = event.time, event.dur
+        if time - time or dur - dur:  # NaN or infinity: JSON spells those
+            line = json.dumps(event_to_dict(event))
+        else:
+            line = (f'{{"id": {event.eid!r}, "t": {time!r}, "proc": {event.proc!r}, '
+                    f'"kind": {_quote(event.kind)}, "detail": {_quote(event.detail)}')
+            if event.cause:
+                line += f', "cause": {event.cause!r}'
+            if event.motif:
+                line += f', "motif": {_quote(event.motif)}'
+            if dur:
+                line += f', "dur": {dur!r}'
+            line += "}"
+        self.stream.write(line + "\n")
         self.count += 1
 
     def close(self) -> None:

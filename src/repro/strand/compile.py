@@ -9,19 +9,20 @@ in the related literature all have: a :class:`CompiledProgram` is built once
 per :class:`Program` (cached against the program's version stamp) and the
 scheduler/reducer core consumes only the compiled form.
 
-Three things are precompiled per rule:
+Every rule becomes one generated Python function, ``commit(args,
+blocked)``: head match, guards and body build in one, with the rule's
+variables as Python locals (:mod:`repro.strand.codegen` writes the text;
+this module holds the helpers it calls and loads it).  One procedure's
+functions share one source text, compiled eagerly by
+:func:`compile_program` and registered in :mod:`linecache` under
+``<this file>:name/arity``, so that tracebacks show it and profiles charge
+it to this module; each rule's text is kept as
+:attr:`CompiledRule.source`.
 
-* **head-match plans** — each head argument pattern becomes a closure tree
-  built once, so matching does no per-reduction dispatch on pattern shape;
-* **guard plans** — each guard becomes a closure over the match environment
-  (comparisons, type tests, ``==``/``\\==``, ``known``, ``otherwise``);
-* **body templates** — each body goal becomes a builder closure replacing
-  the interpretive ``instantiate`` walk (ground subterms are shared).
-
-These plans are the runtime's one matcher: this module owns the rule
-semantics (head matching, guards, first-argument index keys).  The seed's
-interpretive matcher is kept only as the tests' oracle
-(``tests/strand/reference_match.py``).
+With :mod:`repro.strand.codegen`, this module is the runtime's one
+matcher: the two own the rule semantics (head matching, guards,
+first-argument index keys).  The seed's interpretive matcher is kept only
+as the tests' oracle (``tests/strand/reference_match.py``).
 
 Per procedure, rules are bucketed by **first-argument principal functor**
 (order-preserving first-argument indexing).  Committed choice must commit on
@@ -41,11 +42,16 @@ complexity accounting consume it instead of re-deriving their own maps.
 
 from __future__ import annotations
 
+import linecache
 from typing import Any, Callable
 
-from repro.strand.arith import ArithFail, Suspend, eval_arith
+from repro.strand.arith import ArithFail, Suspend, _eval
+# GUARD_TESTS and _COMPARISONS are re-exported for the tests' oracle.
+from repro.strand.codegen import COMPARISONS as _COMPARISONS  # noqa: F401
+from repro.strand.codegen import GUARD_TESTS, OPERATORS, RuleWriter  # noqa: F401
 from repro.strand.program import Procedure, Program, Rule
 from repro.strand.terms import (
+    _UNBOUND,
     NIL,
     Atom,
     Cons,
@@ -181,104 +187,15 @@ def symbol_table(program: Program) -> SymbolTable:
 
 
 # ---------------------------------------------------------------------------
-# Template compilation (body/guard instantiation plans)
-# ---------------------------------------------------------------------------
-
-def _term_is_shareable(term: Term) -> bool:
-    """Ground and free of mutable cells (``Tup`` is mutated by put_arg)."""
-    stack = [term]
-    while stack:
-        t = deref(stack.pop())
-        tt = type(t)
-        if tt is Var or tt is Tup:
-            return False
-        if tt is Struct:
-            stack.extend(t.args)
-        elif tt is Cons:
-            stack.append(t.tail)
-            stack.append(t.head)
-    return True
-
-
-def compile_template(term: Term) -> Callable[[dict, dict], Term]:
-    """Compile a rule term into a builder ``build(env, fresh) -> Term``.
-
-    Rule variables become their matched values; unmatched rule variables
-    become fresh variables shared (via ``fresh``/``env``) across the rule's
-    goals.  Ground subterms are built once and shared.
-    """
-    term = deref(term)
-    t = type(term)
-    if t is Var:
-        key = id(term)
-        name = term.name
-
-        def build_var(env: dict, fresh: dict) -> Term:
-            bound = env.get(key)
-            if bound is not None:
-                return bound
-            var = fresh.get(key)
-            if var is None:
-                var = Var(name)
-                fresh[key] = var
-                env[key] = var
-            return var
-
-        return build_var
-    if t is Struct:
-        if _term_is_shareable(term):
-            return lambda env, fresh: term
-        functor = term.functor
-        subs = tuple(compile_template(a) for a in term.args)
-        return lambda env, fresh: Struct(functor, [s(env, fresh) for s in subs])
-    if t is Tup:
-        subs = tuple(compile_template(a) for a in term.args)
-        return lambda env, fresh: Tup([s(env, fresh) for s in subs])
-    if t is Cons:
-        return _compile_list(term)
-    # Atoms, numbers, strings are immutable — share.
-    return lambda env, fresh: term
-
-
-def _compile_list(term: Cons) -> Callable[[dict, dict], Term]:
-    """A list literal's builder, compiled in one pass over its spine.
-
-    Each element up to the longest shareable suffix gets a builder; the
-    suffix (the tail when nothing is shareable) is built once and shared.
-    The builder fills each fresh cell's ``tail`` in place, calling the
-    element builders left to right and the tail's last, so long literals
-    neither recurse nor build an intermediate list.
-    """
-    cells = []
-    while type(term) is Cons:
-        cells.append(term)
-        term = deref(term.tail)
-    rest = term
-    if _term_is_shareable(rest):
-        while cells and _term_is_shareable(cells[-1].head):
-            rest = cells.pop()
-    if not cells:
-        return lambda env, fresh: rest
-    build_tail = compile_template(rest)
-    first, *others = [compile_template(cell.head) for cell in cells]
-
-    def build_list(env: dict, fresh: dict) -> Term:
-        head = cell = Cons(first(env, fresh), None)
-        for build in others:
-            cell.tail = cell = Cons(build(env, fresh), None)
-        cell.tail = build_tail(env, fresh)
-        return head
-
-    return build_list
-
-
-# ---------------------------------------------------------------------------
-# Head-match plans
+# Runtime helpers of the generated rule functions
 # ---------------------------------------------------------------------------
 
 def _match_values(a: Term, b: Term, blocked: list[Var]) -> bool:
     """Compare two caller-side terms for the non-linear-head case; unbound
-    variables block unless identical.  Iterative for deep-list safety."""
+    variables block unless identical.  Iterative for deep-list safety.
+
+    With a ground ``a`` this is exactly the head match of pattern ``a``, so
+    the generated code also matches ground head subterms with it."""
     stack = [(a, b)]
     while stack:
         a, b = stack.pop()
@@ -311,246 +228,76 @@ def _match_values(a: Term, b: Term, blocked: list[Var]) -> bool:
     return True
 
 
-def compile_pattern(pattern: Term) -> Callable[[Term, dict, list], bool]:
-    """Compile one head-argument pattern into ``m(arg, env, blocked)``.
+#: A list pattern's cursor once its spine blocked: the rest of the pattern
+#: is skipped (neither matched nor failed).
+_SKIPPED = object()
 
-    Returns ``False`` on definite mismatch; appends to ``blocked`` (and
-    returns ``True``) when an unbound caller variable defers the decision.
-    A head (all its argument plans) therefore has three outcomes: *match*,
-    with the rule's variables bound in ``env`` and never the caller's
-    (matching is one-way, §2.1); *fail*, on a definite clash; or *suspend*,
-    with the blocking caller variables in ``blocked``.
+
+def _match_run(heads: tuple, cell: Term, blocked: list) -> Term:
+    """Match the ground list elements ``heads`` against successive cells.
+
+    Returns the list after them; ``_SKIPPED`` when the spine is unbound
+    (the variable is appended to ``blocked``) or was skipped already;
+    ``None`` on a definite mismatch.
     """
-    pattern = deref(pattern)
-    pt = type(pattern)
-    if pt is Var:
-        key = id(pattern)
-
-        def match_var(arg: Term, env: dict, blocked: list) -> bool:
-            bound = env.get(key)
-            if bound is None:
-                env[key] = arg
-                return True
-            # Non-linear head: both occurrences must agree.
-            return _match_values(bound, arg, blocked)
-
-        return match_var
-    if pt is Atom:
-
-        def match_atom(arg: Term, env: dict, blocked: list) -> bool:
-            arg = deref(arg)
-            if arg is pattern:
-                return True
-            if type(arg) is Var:
-                blocked.append(arg)
-                return True
-            return False
-
-        return match_atom
-    if pt is int or pt is float:
-
-        def match_number(arg: Term, env: dict, blocked: list) -> bool:
-            arg = deref(arg)
-            at = type(arg)
-            if at is Var:
-                blocked.append(arg)
-                return True
-            return (at is int or at is float) and pattern == arg
-
-        return match_number
-    if pt is str:
-
-        def match_string(arg: Term, env: dict, blocked: list) -> bool:
-            arg = deref(arg)
-            at = type(arg)
-            if at is Var:
-                blocked.append(arg)
-                return True
-            return at is str and pattern == arg
-
-        return match_string
-    if pt is Cons:
-        # One matcher per element and one for the tail; the spine is walked
-        # in a loop, both here and in the match, so long lists do not recurse.
-        heads = []
-        while type(pattern) is Cons:
-            heads.append(compile_pattern(pattern.head))
-            pattern = deref(pattern.tail)
-        heads = tuple(heads)
-        match_tail = compile_pattern(pattern)
-
-        def match_list(arg: Term, env: dict, blocked: list) -> bool:
-            for match_head in heads:
-                arg = deref(arg)
-                at = type(arg)
-                if at is not Cons:
-                    if at is Var:
-                        blocked.append(arg)
-                        return True
-                    return False
-                if not match_head(arg.head, env, blocked):
-                    return False
-                arg = arg.tail
-            return match_tail(arg, env, blocked)
-
-        return match_list
-    if pt is Tup:
-        subs = tuple(compile_pattern(a) for a in pattern.args)
-        want = len(pattern.args)
-
-        def match_tuple(arg: Term, env: dict, blocked: list) -> bool:
-            arg = deref(arg)
-            at = type(arg)
-            if at is Var:
-                blocked.append(arg)
-                return True
-            if at is not Tup or len(arg.args) != want:
-                return False
-            return all(m(a, env, blocked) for m, a in zip(subs, arg.args))
-
-        return match_tuple
-    if pt is Struct:
-        subs = tuple(compile_pattern(a) for a in pattern.args)
-        functor = pattern.functor
-        want = len(pattern.args)
-
-        def match_struct(arg: Term, env: dict, blocked: list) -> bool:
-            arg = deref(arg)
-            at = type(arg)
-            if at is Var:
-                blocked.append(arg)
-                return True
-            if at is not Struct or arg.functor != functor or len(arg.args) != want:
-                return False
-            return all(m(a, env, blocked) for m, a in zip(subs, arg.args))
-
-        return match_struct
-    raise TypeError(f"bad pattern term {pattern!r}")
-
-
-# ---------------------------------------------------------------------------
-# Guard plans
-# ---------------------------------------------------------------------------
-
-def _test_integer(t: Term) -> bool:
-    return type(t) is int
-
-
-def _test_number(t: Term) -> bool:
-    return type(t) is int or type(t) is float
-
-
-def _test_float(t: Term) -> bool:
-    return type(t) is float
-
-
-def _test_atom(t: Term) -> bool:
-    return type(t) is Atom
-
-
-def _test_string(t: Term) -> bool:
-    return type(t) is str
-
-
-def _test_list(t: Term) -> bool:
-    return type(t) is Cons or t is NIL
-
-
-def _test_tuple(t: Term) -> bool:
-    return type(t) is Tup
-
-
-#: Type-test guards: ``name -> predicate over the dereffed, bound argument``.
-GUARD_TESTS: dict[str, Any] = {
-    "integer": _test_integer,
-    "number": _test_number,
-    "float": _test_float,
-    "atom": _test_atom,
-    "string": _test_string,
-    "list": _test_list,
-    "tuple": _test_tuple,
-}
-
-_COMPARISONS = {
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "=<": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "=\\=": lambda a, b: a != b,
-    "=:=": lambda a, b: a == b,
-}
-
-
-def compile_guard(guard: Term) -> Callable[[dict, dict, list], bool] | None:
-    """Compile one guard goal into ``g(env, fresh, blocked)``.
-
-    ``None`` means the guard is trivially true (``true`` / ``otherwise``)
-    and can be dropped from the plan.  ``False`` return = definite failure;
-    appending to ``blocked`` (returning ``True``) = undecided.
-    """
-    guard = deref(guard)
-    if type(guard) is Atom:
-        if guard.name in ("true", "otherwise"):
+    if cell is _SKIPPED:
+        return cell
+    for head in heads:
+        cell = deref(cell)
+        if type(cell) is not Cons:
+            if type(cell) is Var:
+                blocked.append(cell)
+                return _SKIPPED
             return None
-        return lambda env, fresh, blocked: False
-    if type(guard) is not Struct:
-        return lambda env, fresh, blocked: False
-    name, arity = guard.functor, len(guard.args)
-    if arity == 2 and name in _COMPARISONS:
-        op = _COMPARISONS[name]
-        lhs = compile_template(guard.args[0])
-        rhs = compile_template(guard.args[1])
+        if not _match_values(head, cell.head, blocked):
+            return None
+        cell = cell.tail
+    return cell
 
-        def guard_compare(env: dict, fresh: dict, blocked: list) -> bool:
-            try:
-                a = eval_arith(lhs(env, fresh))
-                b = eval_arith(rhs(env, fresh))
-            except Suspend as s:
-                blocked.extend(s.variables)
-                return True
-            except ArithFail:
-                return False
-            return op(a, b)
 
-        return guard_compare
-    if arity == 2 and name in ("==", "\\=="):
-        want_equal = name == "=="
-        lhs = compile_template(guard.args[0])
-        rhs = compile_template(guard.args[1])
+def _prepend(heads: tuple, tail: Term) -> Term:
+    """Fresh list cells holding ``heads`` (given last first) before ``tail``."""
+    for head in heads:
+        tail = Cons(head, tail)
+    return tail
 
-        def guard_equality(env: dict, fresh: dict, blocked: list) -> bool:
-            decided, equal = _ground_equal(
-                deref(lhs(env, fresh)), deref(rhs(env, fresh)), blocked
-            )
-            if not decided:
-                return True
-            return equal if want_equal else not equal
 
-        return guard_equality
-    if arity == 1 and name in GUARD_TESTS:
-        test = GUARD_TESTS[name]
-        operand = compile_template(guard.args[0])
+#: The globals of all generated code (see :mod:`repro.strand.codegen`);
+#: each procedure adds its constants.
+_HELPERS = {
+    "Var": Var, "Struct": Struct, "Tup": Tup, "Cons": Cons, "Atom": Atom, "NIL": NIL,
+    "ArithFail": ArithFail, "_U": _UNBOUND, "_S": _SKIPPED,
+    "_mv": _match_values, "_mr": _match_run, "_pre": _prepend,
+    "_ge": _ground_equal, "_ev": _eval, **OPERATORS,
+}
 
-        def guard_test(env: dict, fresh: dict, blocked: list) -> bool:
-            arg = deref(operand(env, fresh))
-            if type(arg) is Var:
-                blocked.append(arg)
-                return True
-            return test(arg)
 
-        return guard_test
-    if arity == 1 and name == "known":
-        operand = compile_template(guard.args[0])
+# ---------------------------------------------------------------------------
+# Loading generated code
+# ---------------------------------------------------------------------------
 
-        def guard_known(env: dict, fresh: dict, blocked: list) -> bool:
-            arg = deref(operand(env, fresh))
-            if type(arg) is Var:
-                blocked.append(arg)
-                return True
-            return True
+def _source_name(name: str, arity: int) -> str:
+    """The filename of a procedure's generated code: under this module, so
+    profiles charge it to the compile layer."""
+    return f"{__file__}:{name.replace('/', '%2F')}/{arity}"
 
-        return guard_known
-    return lambda env, fresh, blocked: False
+
+class _Namespace(dict):
+    """The globals of one procedure's generated code: the helpers plus the
+    constants its rules share (ints are written inline instead)."""
+
+    def __init__(self):
+        super().__init__(_HELPERS)
+        self.names: dict[int, str] = {}
+
+    def const(self, value: Any) -> str:
+        if type(value) is int:
+            return repr(value)
+        name = self.names.get(id(value))
+        if name is None:
+            name = self.names[id(value)] = f"k{len(self.names)}"
+            self[name] = value
+        return name
 
 
 # ---------------------------------------------------------------------------
@@ -587,51 +334,49 @@ def index_key(term: Term) -> IndexKey:
 
 
 class CompiledRule:
-    """One rule's precompiled plans plus a back-pointer to its source."""
+    """One rule's generated ``commit`` function plus a back-pointer to its
+    source rule.
 
-    __slots__ = ("rule", "order", "matchers", "guards", "body", "index_key")
+    ``commit(goal_args, blocked)`` is head match, guards and body build in
+    one: it returns the tuple of the instantiated body goals when the rule
+    commits.  Otherwise it returns ``None``, having appended the blocking
+    caller variables of an undecided match or guard to ``blocked`` (a
+    definite failure contributes nothing).  ``source`` is its Python text.
+    """
 
-    def __init__(self, rule: Rule, order: int):
+    __slots__ = ("rule", "order", "commit", "source", "index_key")
+
+    def __init__(self, rule: Rule, order: int, commit: Callable, source: str):
         COMPILE_STATS["rules"] += 1
         self.rule = rule
         self.order = order  # textual position within the procedure
-        self.matchers = tuple(compile_pattern(a) for a in rule.head.args)
-        self.guards = tuple(
-            g for g in (compile_guard(guard) for guard in rule.guards)
-            if g is not None
-        )
-        self.body = tuple(compile_template(goal) for goal in rule.body)
+        self.commit = commit
+        self.source = source
         args = rule.head.args
         self.index_key = index_key(deref(args[0])) if args else None
 
-    def try_commit(self, goal_args: tuple, blocked: list) -> dict | None:
-        """Head-match + guard-check against one goal.
-
-        Returns the match environment on commit, ``None`` otherwise;
-        blocking variables of an undecided match/guard are appended to
-        ``blocked``.  Definite failures contribute nothing.
-        """
-        env: dict = {}
-        rule_blocked: list = []
-        for matcher, arg in zip(self.matchers, goal_args):
-            if not matcher(arg, env, rule_blocked):
-                return None  # definite head mismatch: discard blockers
-        if rule_blocked:
-            blocked.extend(rule_blocked)
-            return None
-        if self.guards:
-            fresh: dict = {}
-            guard_blocked: list = []
-            for guard in self.guards:
-                if not guard(env, fresh, guard_blocked):
-                    return None  # definite guard failure: discard blockers
-            if guard_blocked:
-                blocked.extend(guard_blocked)
-                return None
-        return env
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CompiledRule #{self.order} {self.rule.indicator}>"
+
+
+def _generate(proc: Procedure) -> tuple[CompiledRule, ...]:
+    """Generate, compile and load one procedure's rule functions.
+
+    The procedure's rules share one source text and one namespace; the
+    text is registered in :mod:`linecache` under :func:`_source_name`, so
+    tracebacks and profiles show the generated lines.
+    """
+    ns = _Namespace()
+    sources = [RuleWriter(rule, ns.const).source(f"commit_{order}")
+               for order, rule in enumerate(proc.rules)]
+    text = "".join(sources)
+    filename = _source_name(proc.name, proc.arity)
+    exec(compile(text, filename, "exec"), ns)
+    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+    return tuple(
+        CompiledRule(rule, order, ns[f"commit_{order}"], source)
+        for order, (rule, source) in enumerate(zip(proc.rules, sources))
+    )
 
 
 class CompiledProcedure:
@@ -642,9 +387,7 @@ class CompiledProcedure:
     def __init__(self, proc: Procedure, index: bool = True):
         self.name = proc.name
         self.arity = proc.arity
-        self.rules = tuple(
-            CompiledRule(rule, order) for order, rule in enumerate(proc.rules)
-        )
+        self.rules = _generate(proc)
         keys = {r.index_key for r in self.rules}
         self.indexed = (
             index
@@ -683,15 +426,15 @@ class CompiledProcedure:
             return self.rules
         return self.buckets.get(index_key(first), self.wildcards)
 
-    def select(self, goal_args: tuple) -> tuple[CompiledRule, dict] | None:
+    def select(self, goal_args: tuple) -> tuple[CompiledRule, tuple] | None:
         """Committed choice: the first textually-matching rule and its
-        environment.  Raises :class:`Suspend` when no rule matches yet but
-        some could; returns ``None`` on definite failure."""
+        instantiated body goals.  Raises :class:`Suspend` when no rule
+        matches yet but some could; returns ``None`` on definite failure."""
         blocked: list = []
         for crule in self.candidates(goal_args):
-            env = crule.try_commit(goal_args, blocked)
-            if env is not None:
-                return crule, env
+            goals = crule.commit(goal_args, blocked)
+            if goals is not None:
+                return crule, goals
         if blocked:
             raise Suspend(blocked)
         return None

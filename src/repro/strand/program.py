@@ -149,9 +149,9 @@ class Program:
 
     def __getstate__(self):
         # Compiled artifacts are cached as dynamic attributes keyed on the
-        # version stamp; they hold closures and are rebuilt on demand, so
-        # they must not (and cannot) cross process boundaries when the
-        # parallel backend ships programs to workers.
+        # version stamp; they hold generated functions and are rebuilt on
+        # demand, so they must not (and cannot) cross process boundaries
+        # when the parallel backend ships programs to workers.
         state = self.__dict__.copy()
         state.pop("_symbol_cache", None)
         state.pop("_compiled_cache", None)

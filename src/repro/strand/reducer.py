@@ -8,7 +8,9 @@ User-rule selection goes through the compiled procedure's first-argument
 index (see :mod:`repro.strand.compile`): the committed rule is always the
 first *textually* matching one, exactly as the seed's linear scan chose, but
 rules whose head could neither match nor suspend on the goal's first
-argument are never visited.
+argument are never visited.  Each candidate is tried by its generated
+``commit`` function, which returns the committed rule's body goals already
+built; the reducer only spawns them.
 
 The reducer touches scheduling only through the engine facade (spawning
 bodies, suspending on blocked variables); the :class:`Scheduler` decides
@@ -140,7 +142,7 @@ class Reducer:
                 f"process {format_term(goal)} matches no rule of "
                 f"{goal.functor}/{len(goal.args)} and can never match"
             )
-        crule, env = selected
+        crule, goals = selected
         rule_motif = crule.rule.motif
         if rule_motif is not None and rule_motif != process.motif:
             # Refine attribution to the committed rule's provenance tag (a
@@ -151,12 +153,10 @@ class Reducer:
                 profile.begin(rule_motif, (goal.functor, len(goal.args)))
         # Commit: spawn the body.
         cost = REDUCTION_COST
-        fresh: dict[int, Var] = {}
         done = now + cost
         spawn = self.engine.spawn
         proc, lib, motif = process.proc, process.lib, process.motif
-        for builder in crule.body:
-            child = builder(env, fresh)
+        for child in goals:
             if type(child) is not Struct:
                 child = _body_goal(child, process)
             spawn(child, proc, done, lib, None, motif, True)

@@ -2,6 +2,7 @@
 output is valid and flow-balanced, and a TraceSink streams the full
 history even when the in-memory trace is a bounded ring."""
 
+import io
 import json
 
 from repro.apps.arithmetic import eval_arith_node, paper_example_tree
@@ -123,6 +124,25 @@ class TestSink:
         assert len(loaded) == 64 + machine.trace.dropped
         # The streamed file is the complete, gap-free history.
         assert [e.eid for e in loaded] == list(range(1, sink.count + 1))
+
+    def test_sink_lines_are_byte_identical_to_json_dumps(self):
+        events = [
+            TraceEvent(0.0, 1, "spawn", "go", eid=1),
+            TraceEvent(3, 2, "reduce", 'say("hi")', eid=2, cause=1, motif="server[ports]",
+                       dur=1.0),
+            TraceEvent(12.5, 4, "bind", "Ünïcode \\ \u2603 \t", eid=3, cause=0, motif="",
+                       dur=0.25),
+            TraceEvent(1e-7, 3, "fault", "drop:msg->p2", eid=40, cause=39, dur=2),
+            TraceEvent(1e300, 1, "wake", "", eid=5, motif="rand\u00e9"),
+            TraceEvent(float("inf"), 1, "timeout", "t", eid=6, dur=float("nan")),
+        ]
+        stream = io.StringIO()
+        sink = TraceSink(stream)
+        for event in events:
+            sink.write(event)
+        lines = stream.getvalue().splitlines()[1:]
+        assert lines == [json.dumps(event_to_dict(e)) for e in events]
+        assert sink.count == len(events)
 
     def test_sink_context_manager_closes_the_stream(self, tmp_path):
         path = tmp_path / "ctx.jsonl"

@@ -1,23 +1,34 @@
 """The two matchers every matching unit test runs through.
 
 ``COMPILED`` is the path the runtime executes: a one-rule
-:class:`~repro.strand.compile.CompiledProcedure` selects (head plans and
-guard plans via ``CompiledRule.try_commit``) and
-:func:`~repro.strand.compile.compile_template` builds bodies.  ``ORACLE`` is
-the interpretive reference matcher in :mod:`tests.strand.reference_match`.
-Both answer with a :class:`~tests.strand.reference_match.MatchResult`, so a
+:class:`~repro.strand.compile.CompiledProcedure` whose generated ``commit``
+function matches the head, checks the guards and builds the body.  To read
+a match environment it gets a body goal listing the head and guard
+variables; to instantiate a term it gets a head binding the term's known
+variables and a body goal listing the term's other (fresh) variables.
+``ORACLE`` is the interpretive reference matcher in
+:mod:`tests.strand.reference_match`.  Both answer with a
+:class:`~tests.strand.reference_match.MatchResult` (or a built term), so a
 test case states one expectation and holds both to it.
 """
 
 from repro.strand.arith import Suspend
-from repro.strand.compile import CompiledProcedure, compile_template
+from repro.strand.compile import CompiledProcedure
 from repro.strand.program import Procedure, Rule
+from repro.strand.terms import Struct, term_vars
 from tests.strand.reference_match import (
     MatchResult,
     eval_guards,
     instantiate,
     match_head,
 )
+
+
+def _select(rule: Rule, goal_args: tuple):
+    """``CompiledProcedure.select`` over the one-rule procedure ``rule``."""
+    proc = Procedure(*rule.indicator)
+    proc.add(rule)
+    return CompiledProcedure(proc).select(goal_args)
 
 
 class CompiledMatcher:
@@ -27,18 +38,49 @@ class CompiledMatcher:
 
     def commit(self, rule, goal) -> MatchResult:
         """Head match, then guards: the runtime's committed-choice test."""
-        proc = Procedure(*rule.indicator)
-        proc.add(rule)
+        rule_vars = term_vars(Struct("vars", (rule.head, *rule.guards)))
+        probe = Rule(rule.head, rule.guards, [Struct("env", tuple(rule_vars))])
         try:
-            selected = CompiledProcedure(proc).select(goal.args)
+            selected = _select(probe, goal.args)
         except Suspend as s:
             return MatchResult(MatchResult.SUSPENDED, blocked=list(s.variables))
         if selected is None:
             return MatchResult(MatchResult.FAILED)
-        return MatchResult(MatchResult.MATCHED, env=selected[1])
+        values = selected[1][0].args
+        return MatchResult(MatchResult.MATCHED,
+                           env={id(v): value for v, value in zip(rule_vars, values)})
+
+    def body(self, rule, goal) -> list | None:
+        """The committed rule's body goals, or ``None`` when it does not
+        commit."""
+        try:
+            selected = _select(rule, goal.args)
+        except Suspend:
+            return None
+        return None if selected is None else list(selected[1])
+
+    def first_commit(self, rules, goal):
+        """Index of the rule committed among ``rules``, ``"suspend"``, or
+        ``None`` on definite failure."""
+        proc = Procedure(*goal.indicator)
+        for rule in rules:
+            proc.add(rule)
+        try:
+            selected = CompiledProcedure(proc).select(goal.args)
+        except Suspend:
+            return "suspend"
+        return None if selected is None else selected[0].order
 
     def instantiate(self, term, env, fresh):
-        return compile_template(term)(env, fresh)
+        known = {**env, **fresh}
+        term_vars_ = term_vars(term)
+        bound = [v for v in term_vars_ if id(v) in known]
+        new = [v for v in term_vars_ if id(v) not in known]
+        rule = Rule(Struct("inst", tuple(bound)), [], [term, Struct("fresh", tuple(new))])
+        instance, images = _select(rule, tuple(known[id(v)] for v in bound))[1]
+        for var, image in zip(new, images.args):
+            fresh[id(var)] = env[id(var)] = image
+        return instance
 
 
 class OracleMatcher:
@@ -50,6 +92,22 @@ class OracleMatcher:
         if m.status != MatchResult.MATCHED:
             return m
         return eval_guards(rule.guards, m.env)
+
+    def body(self, rule, goal) -> list | None:
+        m = self.commit(rule, goal)
+        if m.status != MatchResult.MATCHED:
+            return None
+        fresh: dict = {}
+        return [instantiate(term, m.env, fresh) for term in rule.body]
+
+    def first_commit(self, rules, goal):
+        suspended = False
+        for index, rule in enumerate(rules):
+            status = self.commit(rule, goal).status
+            if status == MatchResult.MATCHED:
+                return index
+            suspended = suspended or status == MatchResult.SUSPENDED
+        return "suspend" if suspended else None
 
     def instantiate(self, term, env, fresh):
         return instantiate(term, env, fresh)

@@ -15,7 +15,6 @@ from repro.strand.compile import (
     COMPILE_STATS,
     CompiledProcedure,
     compile_program,
-    compile_template,
     symbol_table,
 )
 from repro.strand.program import Procedure, Rule
@@ -32,6 +31,7 @@ from repro.strand.terms import (
     make_list,
     term_vars,
 )
+from tests.strand.matchers import COMPILED
 from tests.strand.reference_match import (
     MatchResult,
     eval_guards,
@@ -97,9 +97,8 @@ def reference_body(rule, goal):
 
 
 def compiled_body(compiled: CompiledProcedure, goal):
-    crule, env = compiled.select(goal.args)
-    fresh = {}
-    return [build(env, fresh) for build in crule.body]
+    crule, goals = compiled.select(goal.args)
+    return list(goals)
 
 
 def is_variant(a, b) -> bool:
@@ -369,37 +368,68 @@ class TestSymbolTable:
 
 
 class TestTemplates:
+    """Body building, through a one-rule procedure's generated code."""
+
     def test_ground_structs_are_shared(self):
         term = Struct("point", (1, 2))
-        build = compile_template(term)
-        assert build({}, {}) is term
+        assert COMPILED.instantiate(term, {}, {}) is term
 
     def test_tuples_are_never_shared(self):
         # Tup cells are mutable (put_arg), so each instantiation is fresh.
         term = Tup([1, 2])
-        build = compile_template(term)
-        first = build({}, {})
-        second = build({}, {})
+        first = COMPILED.instantiate(term, {}, {})
+        second = COMPILED.instantiate(term, {}, {})
         assert first is not second and first is not term
 
     def test_list_literal_shares_its_ground_suffix(self):
         x = Var("X")
         term = make_list([x, Tup([]), 1, 2], Cons(3, NIL))
-        build = compile_template(term)
-        env, fresh = {id(x): 7}, {}
-        first, second = build(env, fresh), build(env, fresh)
+        env = {id(x): 7}
+        first = COMPILED.instantiate(term, env, {})
+        second = COMPILED.instantiate(term, env, {})
         assert first.head == 7 and first.tail is not second.tail
         suffix = deref(deref(term.tail).tail)
         assert first.tail.tail is suffix and second.tail.tail is suffix
 
     def test_fresh_vars_shared_across_goals_of_a_rule(self):
         shared = Var("S")
-        build_one = compile_template(Struct("f", (shared,)))
-        build_two = compile_template(Struct("g", (shared,)))
         env, fresh = {}, {}
-        one = build_one(env, fresh)
-        two = build_two(env, fresh)
+        one = COMPILED.instantiate(Struct("f", (shared,)), env, fresh)
+        two = COMPILED.instantiate(Struct("g", (shared,)), env, fresh)
         assert one.args[0] is two.args[0]
+
+
+class TestGeneratedCode:
+    SRC = """
+    filter(P, [X | Xs], Ys) :- X mod P =\\= 0 | Ys := [X | Ys1], filter(P, Xs, Ys1).
+    filter(P, [X | Xs], Ys) :- X mod P =:= 0 | filter(P, Xs, Ys).
+    filter(_, [], Ys) :- Ys := [].
+    """
+
+    def test_rule_functions_are_filed_under_compile_py(self):
+        # Profiles charge code to a layer by its file: the generated
+        # functions must sit under compile.py, with their text readable.
+        import linecache
+
+        import repro.strand.compile as compile_module
+
+        proc = compile_program(parse_program(self.SRC)).procedure(("filter", 3))
+        for crule in proc.rules:
+            code = crule.commit.__code__
+            assert code.co_filename == f"{compile_module.__file__}:filter/3"
+            assert crule.source.startswith(f"def {code.co_name}(args, blocked):")
+            line = linecache.getline(code.co_filename, code.co_firstlineno)
+            assert line == crule.source.splitlines(True)[0]
+
+    def test_long_literals_do_not_nest(self):
+        xs = [Var(f"X{i}") for i in range(2000)]
+        rule = Rule(Struct("p", (make_list(xs),)), [], [Struct("q", (make_list(xs[::-1]),))])
+        proc = Procedure("p", 1)
+        proc.add(rule)
+        source = CompiledProcedure(proc).rules[0].source
+        depth = max(len(line) - len(line.lstrip()) for line in source.splitlines()) // 4
+        assert depth <= 3
+        assert max(line.count("(") for line in source.splitlines()) < 100
 
 
 class TestEngineIndexingFlag:

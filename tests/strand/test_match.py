@@ -4,8 +4,8 @@ Each class runs its cases on the compiled path the runtime executes; its
 ``…Oracle`` subclass runs the same cases on the reference matcher.
 """
 
-from repro.strand.parser import parse_rule, parse_term
-from repro.strand.terms import Atom, Struct, Var, deref
+from repro.strand.parser import parse_program, parse_rule, parse_term
+from repro.strand.terms import NIL, Atom, Cons, Struct, Var, deref, list_to_python, make_list
 from tests.strand.matchers import COMPILED, ORACLE
 from tests.strand.reference_match import MatchResult
 
@@ -225,6 +225,92 @@ class TestArithmeticEquality:
         assert g.status == MatchResult.FAILED
 
 
+class TestEdgeCases:
+    """Corners of the rule semantics the generated code must keep."""
+
+    matcher = COMPILED
+
+    def test_repeated_variable_binds_where_first_reached(self):
+        # The first occurrence of X sits in a list the goal has not built
+        # yet, so the second occurrence binds X and the third compares.
+        rule = parse_rule("f([X | _], X, X).")
+        u = Var("U")
+        assert self.matcher.commit(rule, Struct("f", (u, 5, 6))).status == MatchResult.FAILED
+        m = self.matcher.commit(rule, Struct("f", (u, 5, 5)))
+        assert m.status == MatchResult.SUSPENDED
+        assert [deref(v) for v in m.blocked] == [u]
+
+    def test_guard_only_variable_reused_in_body(self):
+        rule = parse_rule("p(X) :- Y == Y | q(X, Y), r(Y).")
+        q, r = self.matcher.body(rule, parse_term("p(1)"))
+        fresh = deref(q.args[1])
+        assert deref(q.args[0]) == 1
+        assert type(fresh) is Var and fresh is deref(r.args[0])
+        assert fresh is not deref(rule.guards[0].args[0])
+
+    def test_blocked_left_side_leaves_right_side_unread(self):
+        u, v = Var("U"), Var("V")
+        m = self.matcher.commit(parse_rule("p(X, Y) :- X > Y | q."), Struct("p", (u, v)))
+        assert m.status == MatchResult.SUSPENDED
+        assert [deref(b) for b in m.blocked] == [u]
+        for guard in ("X > 1 mod 0", "X > foo"):
+            m = self.matcher.commit(parse_rule(f"p(X) :- {guard} | q."), Struct("p", (u,)))
+            assert m.status == MatchResult.SUSPENDED, guard
+
+    def test_non_arithmetic_operands_fail_so_the_next_rule_commits(self):
+        rules = parse_program("""
+        p(X, R) :- X > foo | R := a.
+        p(X, R) :- X mod 0 =:= 1 | R := b.
+        p(X, R) :- R := c.
+        """).procedure("p", 2).rules
+        goal = parse_term("p(3, R)")
+        for rule in rules[:2]:
+            assert self.matcher.commit(rule, goal).status == MatchResult.FAILED
+        assert self.matcher.first_commit(rules, goal) == 2
+        assert self.matcher.first_commit(rules[:2], goal) is None
+        assert self.matcher.first_commit(rules[:2], Struct("p", (Var("U"), Var("R")))) == "suspend"
+
+    def test_int_float_comparison_commits(self):
+        g = self.matcher.commit(parse_rule("p(X) :- 1 =:= 1.0 | q."), parse_term("p(0)"))
+        assert g.status == MatchResult.MATCHED
+
+    def test_long_non_ground_list_in_head_and_body(self):
+        n = 5000
+        xs = [Var(f"X{i}") for i in range(n)]
+        tail = Var("T")
+        head = Struct("p", (make_list(xs, tail),))
+        m = self.matcher.match(head, Struct("p", (make_list(range(n), NIL),)))
+        assert m.status == MatchResult.MATCHED
+        assert deref(m.env[id(xs[-1])]) == n - 1 and deref(m.env[id(tail)]) is NIL
+        built = self.matcher.instantiate(Struct("q", (make_list(xs),)), m.env, {})
+        assert list_to_python(built.args[0]) == list(range(n))
+        hole = Var("Hole")
+        short = make_list(range(n // 2), hole)
+        m = self.matcher.match(head, Struct("p", (short,)))
+        assert m.status == MatchResult.SUSPENDED
+        assert [deref(b) for b in m.blocked] == [hole]
+
+    def test_deeply_nested_structure_pattern(self):
+        def nest(depth, leaf):
+            term = leaf
+            for _ in range(depth):
+                term = Struct("f", (term, Atom("a")))
+            return term
+
+        x = Var("X")
+        head = Struct("p", (nest(200, Cons(x, x)),))
+        m = self.matcher.match(head, Struct("p", (nest(200, Cons(1, 1)),)))
+        assert m.status == MatchResult.MATCHED and deref(m.env[id(x)]) == 1
+        m = self.matcher.match(head, Struct("p", (nest(200, Cons(1, 2)),)))
+        assert m.status == MatchResult.FAILED
+        hole = Var("Hole")
+        m = self.matcher.match(head, Struct("p", (nest(200, Cons(hole, 1)),)))
+        assert m.status == MatchResult.SUSPENDED
+        assert [deref(b) for b in m.blocked] == [hole]
+        m = self.matcher.match(head, Struct("p", (nest(150, Var("Deep")),)))
+        assert m.status == MatchResult.SUSPENDED
+
+
 class TestHeadMatchingOracle(TestHeadMatching):
     matcher = ORACLE
 
@@ -238,4 +324,8 @@ class TestInstantiateOracle(TestInstantiate):
 
 
 class TestArithmeticEqualityOracle(TestArithmeticEquality):
+    matcher = ORACLE
+
+
+class TestEdgeCasesOracle(TestEdgeCases):
     matcher = ORACLE
