@@ -199,9 +199,10 @@ class RuleWriter:
         """Emit the head match; return the unpacking targets of ``args``."""
         targets, work = [], []
         for i, p in enumerate(self.head_args):
-            if type(p) is Var and self.first_arg[id(p)] == i and id(p) not in self.seen:
-                self.seen.add(id(p))
-                key = id(p)
+            key = id(p)
+            if type(p) is Var and self.first_arg[key] == i:
+                # A first occurrence no match can skip: unpack straight into it.
+                self.seen.add(key)
                 targets.append(self.local(p) if self.count[key] > 1 or key in self.used else "_")
                 continue
             targets.append(f"a{i}")

@@ -246,6 +246,41 @@ def _goals(draw):
     return Struct("p", (first, second))
 
 
+#: Guard operands over the rule's second head variable X and a guard-only
+#: variable W: numbers, atoms, arithmetic (``mod 0`` included) and a
+#: structure that is not arithmetic.
+_X, _W = Var("X"), Var("W")
+_OPERANDS = st.one_of(
+    st.sampled_from([_X, _W, 0, 2, 2.0, -1, Atom("foo")]),
+    st.builds(lambda a, b: Struct("mod", (a, b)), st.sampled_from([_X, 5]),
+              st.sampled_from([_X, 0, 2])),
+    st.builds(lambda a, op: Struct(op, (a, 1)), st.sampled_from([_X, _W]),
+              st.sampled_from(["+", "-", "*", "//", "max"])),
+    st.builds(lambda a: Struct("-", (a,)), st.sampled_from([_X, 3])),
+    st.builds(lambda a: Struct("f", (a,)), st.sampled_from([_X, 1])),
+)
+_RICH_GUARDS = st.one_of(
+    st.builds(lambda op, a, b: Struct(op, (a, b)),
+              st.sampled_from(["<", ">", "=<", ">=", "=\\=", "=:=", "==", "\\=="]),
+              _OPERANDS, _OPERANDS),
+    st.builds(lambda op, a: Struct(op, (a,)),
+              st.sampled_from(["integer", "number", "float", "atom", "list", "known"]),
+              _OPERANDS),
+    st.sampled_from([Atom("otherwise"), Atom("fail")]),
+)
+
+
+@st.composite
+def _guarded_procedures(draw):
+    proc = Procedure("p", 2)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        head = Struct("p", (draw(_HEAD_PATTERNS), _X))
+        guards = draw(st.lists(_RICH_GUARDS, min_size=1, max_size=3))
+        rule = Rule(head, guards, [Struct("q", (_X, _W, Var("F")))])
+        proc.add(rule.rename())
+    return proc
+
+
 class TestIndexedEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(_procedures(), _goals())
@@ -259,6 +294,23 @@ class TestIndexedEquivalence:
             body = Tup(reference_body(proc.rules[expected[1]], goal))
             assert is_variant(Tup(compiled_body(indexed, goal)), body)
             assert is_variant(Tup(compiled_body(linear, goal)), body)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_guarded_procedures(), _goals(), st.one_of(
+        st.integers(min_value=-1, max_value=3), st.sampled_from([2.0, Atom("a"), NIL]),
+        st.builds(lambda: Var("U")), st.builds(lambda: Struct("+", (1, Var("V")))),
+    ))
+    def test_guards_match_the_reference(self, proc, goal, second):
+        # Arithmetic, equality, type and ``known`` guards, with blocked,
+        # non-arithmetic and guard-only operands, decide as the oracle does.
+        goal = Struct("p", (goal.args[0], second))
+        expected = reference_select(proc.rules, goal)
+        for index in (True, False):
+            compiled = CompiledProcedure(proc, index=index)
+            assert compiled_select(compiled, goal) == expected
+            if expected[0] == "commit":
+                body = Tup(reference_body(proc.rules[expected[1]], goal))
+                assert is_variant(Tup(compiled_body(compiled, goal)), body)
 
     def test_port_first_argument_falls_back_to_wildcards(self):
         # A port matches only a variable head argument; indexed selection
