@@ -12,8 +12,9 @@ The runtime is a pipeline: *parse → transform → compile → schedule/reduce*
 the pieces together:
 
 * the **compile layer** (:mod:`repro.strand.compile`) lowers the program to
-  a :class:`CompiledProgram` — interned indicator tables, per-rule match and
-  guard plans, and order-preserving first-argument rule indexing;
+  a :class:`CompiledProgram` — interned indicator tables, one generated
+  Python function per rule (head match, guards and body build), and
+  order-preserving first-argument rule indexing;
 * the **scheduler** (:mod:`repro.strand.scheduler`) is a discrete-event
   simulator: a global event heap orders processors by the earliest time they
   can next execute, and per-processor heaps order processes by readiness;
