@@ -7,8 +7,11 @@ the rule commits.  Otherwise it returns ``None`` and appends the blocking
 caller variables of an undecided head match or guard to ``blocked``; a
 definite failure appends nothing.  The rule's variables are Python locals:
 
-* **head patterns** are straight-line type and identity tests.  A list
-  pattern is walked by a cursor, one flat block per element; a run of
+* **head patterns** are straight-line type and identity tests, all at the
+  function's top level: a structure, tuple or list cell is one block that
+  unpacks its children into locals, matched after it; the children of a
+  parent that blocked read ``_S`` and their tests pass over them.  A list
+  pattern is walked by a cursor, one block per element; a run of
   ground elements is matched by one ``_mr`` call and a ground compound
   subpattern by one ``_mv`` call.  A repeated variable is compared by
   ``_mv`` where it occurs again; if its first occurrence is nested it
@@ -25,14 +28,14 @@ definite failure appends nothing.  The rule's variables are Python locals:
 Besides :data:`OPERATORS`, ``Var``, ``Struct``, ``Tup``, ``Cons``, ``Atom``,
 ``NIL``, ``ArithFail`` and the constants the writer names (through its
 ``const`` callback), the code calls the runtime helpers the compile layer
-binds: ``_U`` (the unbound marker), ``_S`` (a skipped list cursor),
+binds: ``_U`` (the unbound marker), ``_S`` (a skipped subpattern),
 ``_mv`` (``_match_values``), ``_mr`` (``_match_run``), ``_pre``
 (``_prepend``), ``_ge`` (``terms._ground_equal``) and ``_ev``
 (``arith._eval``).
 
 The writer walks terms with explicit stacks, never by recursion, and the
-code it writes never nests per list element: long list patterns and
-literals compile and run like short ones.
+code it writes never nests per list element or pattern level: long list
+patterns and literals and deep patterns compile and run like short ones.
 """
 
 from __future__ import annotations
@@ -72,21 +75,13 @@ GUARD_TESTS: dict[str, Callable] = {
 COMPARISONS = {name: eval(f"lambda a, b: a {op} b") for name, op in _COMPARISON_OPS.items()}
 
 #: ``arith``'s operator functions under the names the code calls them by.
+_BINARY_NAMES = {op: f"_b{i}" for i, op in enumerate(_BINARY)}
+_UNARY_NAMES = {op: f"_u{i}" for i, op in enumerate(_UNARY)}
 OPERATORS = {
-    **{f"_b{i}": fn for i, fn in enumerate(_BINARY.values())},
-    **{f"_u{i}": fn for i, fn in enumerate(_UNARY.values())},
+    **{name: _BINARY[op] for op, name in _BINARY_NAMES.items()},
+    **{name: _UNARY[op] for op, name in _UNARY_NAMES.items()},
 }
-#: Arithmetic operators as code: Python's own for ``+ - *`` (all the tables'
-#: lambdas do), a call of the table's function otherwise.
-_BINARY_CODE = {op: f"_b{i}({{0}}, {{1}})" for i, op in enumerate(_BINARY)} | {
-    "+": "({0} + {1})", "-": "({0} - {1})", "*": "({0} * {1})",
-}
-_UNARY_CODE = {op: f"_u{i}({{0}})" for i, op in enumerate(_UNARY)} | {"-": "(-{0})"}
 
-#: Deepest ``if`` nesting a head match gets; deeper structure patterns are
-#: matched after their parent, with ``_S`` standing for the children
-#: of a parent that did not match.  (Python rejects ~100 indent levels.)
-_MAX_NEST = 40
 #: Tallest expression written inline; a taller subterm is built into a
 #: temporary first, so long list literals never nest.
 _MAX_HEIGHT = 16
@@ -179,24 +174,34 @@ class RuleWriter:
             name = self.names[id(var)] = f"{base}_{len(self.names)}"
         return name
 
-    def hold(self, expr: str, d: int) -> str:
-        """A local holding ``expr`` (which may be an attribute read)."""
-        if "." not in expr:
-            return expr
-        t = self.temp()
-        self.emit(d, f"{t} = {expr}")
-        return t
-
-    def fail_unless(self, x: str, d: int, skip: bool) -> None:
-        """The two branches after a failed test of ``x``: block on a
+    def fail_unless(self, x: str, skip: bool) -> None:
+        """The ``else`` branch of a failed test of ``x``: block on a
         variable, otherwise fail (unless the cursor was skipped)."""
         self.blocks = True
-        self.emit(d, f"if type({x}) is Var: rb.append({x})")
-        self.emit(d, f"elif {x} is not _S: return None" if skip else "else: return None")
+        self.emit(2, f"if type({x}) is Var: rb.append({x})")
+        self.emit(2, f"elif {x} is not _S: return None" if skip else "else: return None")
+
+    def unpack(self, kid: Term, items: list) -> str | None:
+        """The local a child pattern is read into: a variable occurring
+        only here is its own local (``None`` when no guard or body uses
+        it); any other child gets a temporary, matched after its parent
+        (queued on ``items``)."""
+        if type(kid) is Var and self.count[id(kid)] == 1:
+            self.seen.add(id(kid))
+            return self.local(kid) if id(kid) in self.used else None
+        t = self.temp()
+        items.append(("match", kid, t, True))
+        return t
 
     # -- head --------------------------------------------------------------
     def head(self) -> list[str]:
-        """Emit the head match; return the unpacking targets of ``args``."""
+        """Emit the head match; return the unpacking targets of ``args``.
+
+        Every test sits at the function's top level: a compound pattern or
+        list cell is one block that unpacks its children into locals, and
+        the children are matched after it.  When a parent blocks, its
+        children read ``_S`` and their tests pass over them.
+        """
         targets, work = [], []
         for i, p in enumerate(self.head_args):
             key = id(p)
@@ -206,26 +211,26 @@ class RuleWriter:
                 targets.append(self.local(p) if self.count[key] > 1 or key in self.used else "_")
                 continue
             targets.append(f"a{i}")
-            work.append(("match", p, f"a{i}", 1, False))
+            work.append(("match", p, f"a{i}", False))
         work.reverse()
         while work:
             item = work.pop()
             if item[0] == "line":
                 self.emit(item[1], item[2])
                 continue
-            _, p, x, d, skip = item
+            _, p, x, skip = item
             tp = type(p)
             if tp is Var:
-                self.match_var(p, x, d, skip)
+                self.match_var(p, x, skip)
             elif _is_ground(p, self.ground):
-                self.match_ground(p, x, d, skip)
+                self.match_ground(p, x, skip)
             elif tp is Cons:
-                work.extend(reversed(self.match_list(p, x, d, skip)))
+                work.extend(reversed(self.match_list(p, x, skip)))
             else:
-                work.extend(reversed(self.match_compound(p, x, d, skip)))
+                work.extend(reversed(self.match_compound(p, x, skip)))
         return targets
 
-    def match_var(self, var: Var, x: str, d: int, skip: bool) -> None:
+    def match_var(self, var: Var, x: str, skip: bool) -> None:
         key = id(var)
         name = self.local(var)
         if key not in self.seen:
@@ -233,83 +238,66 @@ class RuleWriter:
             if self.count[key] == 1 and key not in self.used:
                 return
             if skip and key in self.dynamic:
-                self.emit(d, f"if {x} is not _S: {name} = {x}")
+                self.emit(1, f"if {x} is not _S: {name} = {x}")
             else:
-                self.emit(d, f"{name} = {x}")
+                self.emit(1, f"{name} = {x}")
             return
         self.blocks = True
         if key in self.dynamic:
             branch = "if"
             if skip:
-                self.emit(d, f"if {x} is _S: pass")
+                self.emit(1, f"if {x} is _S: pass")
                 branch = "elif"
-            self.emit(d, f"{branch} {name} is None: {name} = {x}")
-            self.emit(d, f"elif not _mv({name}, {x}, rb): return None")
+            self.emit(1, f"{branch} {name} is None: {name} = {x}")
+            self.emit(1, f"elif not _mv({name}, {x}, rb): return None")
         else:
             test = f"not _mv({name}, {x}, rb)"
-            self.emit(d, f"if {x} is not _S and {test}: return None" if skip
+            self.emit(1, f"if {x} is not _S and {test}: return None" if skip
                       else f"if {test}: return None")
 
-    def match_ground(self, p: Term, x: str, d: int, skip: bool) -> None:
+    def match_ground(self, p: Term, x: str, skip: bool) -> None:
         tp = type(p)
         k = self.const(p)
         if tp is Struct or tp is Tup or tp is Cons:
             self.blocks = True
             test = f"not _mv({k}, {x}, rb)"
-            self.emit(d, f"if {x} is not _S and {test}: return None" if skip
+            self.emit(1, f"if {x} is not _S and {test}: return None" if skip
                       else f"if {test}: return None")
             return
-        x = self.hold(x, d)
-        self.emit(d, _DEREF.format(x))
+        self.emit(1, _DEREF.format(x))
         if tp is Atom:
-            self.emit(d, f"if {x} is not {k}:")
+            self.emit(1, f"if {x} is not {k}:")
         elif tp is str:
-            self.emit(d, f"if not (type({x}) is str and {x} == {k}):")
+            self.emit(1, f"if not (type({x}) is str and {x} == {k}):")
         else:
-            self.emit(d, f"if not ((type({x}) is int or type({x}) is float) and {x} == {k}):")
-        self.fail_unless(x, d + 1, skip)
+            self.emit(1, f"if not ((type({x}) is int or type({x}) is float) and {x} == {k}):")
+        self.fail_unless(x, skip)
 
-    def match_compound(self, p: Term, x: str, d: int, skip: bool) -> list:
+    def match_compound(self, p: Term, x: str, skip: bool) -> list:
         """A structure or tuple pattern with variables inside."""
-        x = self.hold(x, d)
         n = len(p.args)
         if type(p) is Struct:
             test = (f"type({x}) is Struct and {x}.functor == {p.functor!r}"
                     f" and len({x}.args) == {n}")
         else:
             test = f"type({x}) is Tup and len({x}.args) == {n}"
-        flat = d >= _MAX_NEST
-        targets, items = [], []
-        for kid in p.args:
-            kid = deref(kid)
-            if type(kid) is Var and self.count[id(kid)] == 1:
-                self.seen.add(id(kid))
-                targets.append(self.local(kid) if id(kid) in self.used else "_")
-            else:
-                t = self.temp()
-                targets.append(t)
-                items.append(("match", kid, t, d if flat else d + 1, flat))
-        unpack = f"{', '.join(targets)}{',' if n == 1 else ''} = {x}.args"
-        self.emit(d, _DEREF.format(x))
-        if flat:
-            self.emit(d, f"if {test}: {unpack}")
-            self.emit(d, "else:")
-            self.emit(d + 1, f"{' = '.join(targets)} = _S")
-            self.fail_unless(x, d + 1, True)
-            return items
-        self.emit(d, f"if {test}:")
-        self.emit(d + 1, unpack)
-        self.blocks = True
-        return items + [
-            ("line", d, f"elif type({x}) is Var: rb.append({x})"),
-            ("line", d, f"elif {x} is not _S: return None" if skip else "else: return None"),
-        ]
+        items: list = []
+        targets = [self.unpack(deref(kid), items) for kid in p.args]
+        temps = [item[2] for item in items]
+        unpacked = ", ".join(t or "_" for t in targets)
+        self.emit(1, _DEREF.format(x))
+        self.emit(1, f"if {test}: {unpacked}{',' if n == 1 else ''} = {x}.args")
+        self.emit(1, "else:")
+        if temps:
+            self.emit(2, f"{' = '.join(temps)} = _S")
+        self.fail_unless(x, skip)
+        return items
 
-    def match_list(self, p: Cons, x: str, d: int, skip: bool) -> list:
+    def match_list(self, p: Cons, x: str, skip: bool) -> list:
         """A list pattern with variables inside, walked by a cursor ``x``:
-        one flat block per element, one ``_match_run`` per run of ground
-        elements, and one ``_match_values`` for a ground suffix."""
-        x = self.hold(x, d)
+        one block per element, one ``_match_run`` per run of ground
+        elements, and one ``_match_values`` for a ground suffix.  A cursor
+        whose spine blocked becomes ``_S``."""
         cells = []
         while type(p) is Cons:
             cells.append(p)
@@ -321,49 +309,38 @@ class RuleWriter:
         if _is_ground(tail, self.ground):
             while j and ground[j - 1]:
                 j -= 1
-        flat = d >= _MAX_NEST
-        items, tail_done, i = [], False, 0
+        items: list = []
+        i = 0
         while i < j:
             k = i
             while k < j and ground[k]:
                 k += 1
             if k - i >= _RUN:
                 run = self.const(tuple(heads[i:k]))
-                items.append(("line", d, f"{x} = _mr({run}, {x}, rb)"))
-                items.append(("line", d, f"if {x} is None: return None"))
+                items.append(("line", 1, f"{x} = _mr({run}, {x}, rb)"))
+                items.append(("line", 1, f"if {x} is None: return None"))
                 self.blocks, skip, i = True, True, k
                 continue
-            items.append(("line", d, _DEREF.format(x)))
-            if flat:
-                h = self.temp()
-                items += [
-                    ("line", d, f"if type({x}) is Cons: {h} = {x}.head; {x} = {x}.tail"),
-                    ("line", d, "else:"),
-                    ("line", d + 1, f"{h} = _S"),
-                    ("line", d + 1, f"if type({x}) is Var: rb.append({x}); {x} = _S"),
-                    ("line", d + 1, f"elif {x} is not _S: return None"),
-                    ("match", heads[i], h, d, True),
-                ]
-            else:
-                # The last cell binds a variable tail in its own branch.
-                tail_done = i == n - 1 and type(tail) is Var
-                items += [
-                    ("line", d, f"if type({x}) is Cons:"),
-                    ("match", heads[i], f"{x}.head", d + 1, False),
-                    ("match", tail, f"{x}.tail", d + 1, False) if tail_done
-                    else ("line", d + 1, f"{x} = {x}.tail"),
-                    ("line", d, f"elif type({x}) is Var: rb.append({x})"
-                                + ("" if tail_done else f"; {x} = _S")),
-                    ("line", d, f"elif {x} is not _S: return None" if skip
-                     else "else: return None"),
-                ]
+            kid: list = []
+            h = self.unpack(heads[i], kid)
+            take = f"{h} = {x}.head; {x} = {x}.tail" if h else f"{x} = {x}.tail"
+            items += [("line", 1, _DEREF.format(x)),
+                      ("line", 1, f"if type({x}) is Cons: {take}"),
+                      ("line", 1, "else:")]
+            if kid:
+                items.append(("line", 2, f"{h} = _S"))
+            items += [
+                ("line", 2, f"if type({x}) is Var: rb.append({x}); {x} = _S"),
+                ("line", 2, f"elif {x} is not _S: return None" if skip else "else: return None"),
+                *kid,
+            ]
             self.blocks, skip, i = True, True, i + 1
         if j < n:
             test = f"not _mv({self.const(cells[j])}, {x}, rb)"
-            items.append(("line", d, f"if {x} is not _S and {test}: return None" if skip
+            items.append(("line", 1, f"if {x} is not _S and {test}: return None" if skip
                           else f"if {test}: return None"))
-        elif not tail_done:
-            items.append(("match", tail, x, d, skip))
+        else:
+            items.append(("match", tail, x, skip))
         return items
 
     # -- guards ------------------------------------------------------------
@@ -432,8 +409,8 @@ class RuleWriter:
                 n = len(t.args)
                 args = out[len(out) - n:]
                 del out[len(out) - n:]
-                code = (_BINARY_CODE if n == 2 else _UNARY_CODE)[t.functor]
-                expr = code.format(*(a for a, _ in args))
+                fn = (_BINARY_NAMES if n == 2 else _UNARY_NAMES)[t.functor]
+                expr = f"{fn}({', '.join(a for a, _ in args)})"
                 checks = [f"{a} is not None" for a, none in args if none]
                 v = self.temp()
                 self.emit(d, f"{v} = {expr} if {' and '.join(checks)} else None" if checks

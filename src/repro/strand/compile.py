@@ -15,8 +15,8 @@ variables as Python locals (:mod:`repro.strand.codegen` writes the text;
 this module holds the helpers it calls and loads it).  One procedure's
 functions share one source text, compiled eagerly by
 :func:`compile_program` and registered in :mod:`linecache` under
-``<this file>:name/arity``, so that tracebacks show it and profiles charge
-it to this module; each rule's text is kept as
+``<this file>:name/arity#hash`` (a hash of the text), so that tracebacks
+show it and profiles charge it to this module; each rule's text is kept as
 :attr:`CompiledRule.source`.
 
 With :mod:`repro.strand.codegen`, this module is the runtime's one
@@ -43,6 +43,7 @@ complexity accounting consume it instead of re-deriving their own maps.
 from __future__ import annotations
 
 import linecache
+import zlib
 from typing import Any, Callable
 
 from repro.strand.arith import ArithFail, Suspend, _eval
@@ -228,8 +229,8 @@ def _match_values(a: Term, b: Term, blocked: list[Var]) -> bool:
     return True
 
 
-#: A list pattern's cursor once its spine blocked: the rest of the pattern
-#: is skipped (neither matched nor failed).
+#: What a subpattern reads once its parent or list spine blocked: its
+#: tests are skipped (neither matched nor failed).
 _SKIPPED = object()
 
 
@@ -276,10 +277,12 @@ _HELPERS = {
 # Loading generated code
 # ---------------------------------------------------------------------------
 
-def _source_name(name: str, arity: int) -> str:
+def _source_name(name: str, arity: int, text: str) -> str:
     """The filename of a procedure's generated code: under this module, so
-    profiles charge it to the compile layer."""
-    return f"{__file__}:{name.replace('/', '%2F')}/{arity}"
+    profiles charge it to the compile layer, and tagged with a hash of the
+    text, so that procedures of the same name keep their own lines."""
+    digest = zlib.crc32(text.encode())
+    return f"{__file__}:{name.replace('/', '%2F')}/{arity}#{digest:08x}"
 
 
 class _Namespace(dict):
@@ -370,7 +373,7 @@ def _generate(proc: Procedure) -> tuple[CompiledRule, ...]:
     sources = [RuleWriter(rule, ns.const).source(f"commit_{order}")
                for order, rule in enumerate(proc.rules)]
     text = "".join(sources)
-    filename = _source_name(proc.name, proc.arity)
+    filename = _source_name(proc.name, proc.arity, text)
     exec(compile(text, filename, "exec"), ns)
     linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
     return tuple(

@@ -468,10 +468,20 @@ class TestGeneratedCode:
         proc = compile_program(parse_program(self.SRC)).procedure(("filter", 3))
         for crule in proc.rules:
             code = crule.commit.__code__
-            assert code.co_filename == f"{compile_module.__file__}:filter/3"
+            assert code.co_filename.startswith(f"{compile_module.__file__}:filter/3#")
             assert crule.source.startswith(f"def {code.co_name}(args, blocked):")
             line = linecache.getline(code.co_filename, code.co_firstlineno)
             assert line == crule.source.splitlines(True)[0]
+
+    def test_same_indicator_keeps_its_own_lines(self):
+        import linecache
+
+        one = compile_program(parse_program("p(X) :- q(X).")).procedure(("p", 1)).rules[0]
+        two = compile_program(parse_program("p(a) :- r.")).procedure(("p", 1)).rules[0]
+        assert one.commit.__code__.co_filename != two.commit.__code__.co_filename
+        for crule in (one, two):
+            lines = linecache.getlines(crule.commit.__code__.co_filename)
+            assert lines == crule.source.splitlines(True)
 
     def test_long_literals_do_not_nest(self):
         xs = [Var(f"X{i}") for i in range(2000)]
