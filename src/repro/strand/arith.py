@@ -19,8 +19,12 @@ class Suspend(Exception):
     """Evaluation blocked on unbound variables; carries the variables."""
 
     def __init__(self, variables: list[Var]):
+        # Suspensions are hot and their text is rarely read: it is built
+        # on demand by ``__str__``.
         self.variables = variables
-        super().__init__(f"suspended on {[v.name for v in variables]}")
+
+    def __str__(self) -> str:
+        return f"suspended on {[v.name for v in self.variables]}"
 
 
 class ArithFail(Exception):

@@ -27,7 +27,7 @@ from repro.strand.builtins import BUILTINS
 from repro.strand.compile import CompiledProgram
 from repro.strand.foreign import ForeignRegistry, NotGround, from_python, to_python
 from repro.strand.scheduler import DONE, Process
-from repro.strand.terms import Atom, Struct, Term, Var, deref
+from repro.strand.terms import Struct, Var
 
 __all__ = ["Reducer", "REDUCTION_COST"]
 
@@ -152,15 +152,8 @@ class Reducer:
             if profile is not None:
                 profile.begin(rule_motif, (goal.functor, len(goal.args)))
         # Commit: spawn the body.
-        cost = REDUCTION_COST
-        done = now + cost
-        spawn = self.engine.spawn
-        proc, lib, motif = process.proc, process.lib, process.motif
-        for child in goals:
-            if type(child) is not Struct:
-                child = _body_goal(child, process)
-            spawn(child, proc, done, lib, None, motif, True)
-        return cost
+        self.engine.spawn_body(goals, process, now + REDUCTION_COST)
+        return REDUCTION_COST
 
     def _call_foreign(self, fp, process: Process, goal: Struct, now: float) -> float:
         engine = self.engine
@@ -189,15 +182,3 @@ class Reducer:
             for idx, value in zip(outputs, results):
                 engine.bind(goal.args[idx], from_python(value), process.proc, now)
         return cost
-
-
-def _body_goal(term: Term, parent: Process) -> Struct:
-    """A body goal not built as a structure: a bound variable or an atom."""
-    goal = deref(term)
-    if type(goal) is Atom:
-        return Struct(goal.name, ())
-    if type(goal) is not Struct:
-        raise StrandError(
-            f"body goal {goal!r} of {parent.describe()} is not callable"
-        )
-    return goal

@@ -38,6 +38,9 @@ class TestEval:
             eval_arith(Struct("+", (x, 1)))
         assert err.value.variables == [x]
 
+    def test_suspend_message_names_the_variables(self):
+        assert str(Suspend([Var("X")])) == "suspended on ['X']"
+
     def test_suspend_collects_all_blockers(self):
         x, y = Var("X"), Var("Y")
         with pytest.raises(Suspend) as err:
