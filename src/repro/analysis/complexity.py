@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.strand.compile import symbol_table
 from repro.strand.pretty import format_program
 from repro.strand.program import Program
 
@@ -41,15 +40,13 @@ class ProgramSize:
 
 
 def measure(program: Program) -> ProgramSize:
-    """Measure a whole program (rule/goal counts come from the shared
-    interned symbol table, cached per program version)."""
-    table = symbol_table(program)
+    """Measure a whole program."""
     text = format_program(program)
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("%")]
     return ProgramSize(
-        procedures=len(table),
-        rules=table.total_rules(),
-        goals=table.total_goals(),
+        procedures=len(program),
+        rules=program.rule_count(),
+        goals=program.goal_count(),
         lines=len(lines),
     )
 

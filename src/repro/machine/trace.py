@@ -147,9 +147,6 @@ class Trace:
     def of_kind(self, kind: str) -> list[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
 
-    def of_motif(self, motif: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.motif == motif]
-
     def on_processor(self, proc: int) -> list[TraceEvent]:
         return [e for e in self.events if e.proc == proc]
 

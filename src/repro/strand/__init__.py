@@ -20,9 +20,7 @@ from repro.strand.compile import (
     CompiledProcedure,
     CompiledProgram,
     CompiledRule,
-    SymbolTable,
     compile_program,
-    symbol_table,
 )
 from repro.strand.engine import Process, QueryResult, StrandEngine, run_query
 from repro.strand.lint import LintWarning, lint_program
@@ -82,9 +80,7 @@ __all__ = [
     "CompiledProgram",
     "CompiledProcedure",
     "CompiledRule",
-    "SymbolTable",
     "compile_program",
-    "symbol_table",
     "lint_program",
     "LintWarning",
     "stdlib",

@@ -46,7 +46,7 @@ from repro.strand.arith import _BINARY, _UNARY, ARITH_FUNCTORS
 from repro.strand.program import Rule
 from repro.strand.terms import NIL, Atom, Cons, Struct, Term, Tup, Var, deref, term_vars
 
-__all__ = ["RuleWriter", "GUARD_TESTS", "COMPARISONS", "OPERATORS"]
+__all__ = ["RuleWriter", "GUARD_TESTS", "OPERATORS"]
 
 
 #: Type-test guards: ``name -> test`` over the dereffed, bound operand
@@ -66,13 +66,12 @@ _COMPARISON_OPS = {
     "<": "<", ">": ">", "=<": "<=", ">=": ">=", "=\\=": "!=", "=:=": "==",
 }
 
-#: The same tests and comparisons as functions (the tests' oracle calls
-#: them; the writer folds type tests of non-variable operands with them).
+#: The same type tests as functions: the writer folds type tests of
+#: non-variable operands with them.
 _TEST_GLOBALS = {"Atom": Atom, "Cons": Cons, "Tup": Tup, "NIL": NIL}
 GUARD_TESTS: dict[str, Callable] = {
     name: eval(f"lambda t: {test.format('t')}", _TEST_GLOBALS) for name, test in _TYPE_TESTS.items()
 }
-COMPARISONS = {name: eval(f"lambda a, b: a {op} b") for name, op in _COMPARISON_OPS.items()}
 
 #: ``arith``'s operator functions under the names the code calls them by.
 _BINARY_NAMES = {op: f"_b{i}" for i, op in enumerate(_BINARY)}

@@ -25,7 +25,7 @@ first-argument index keys).  The seed's interpretive matcher is kept only
 as the tests' oracle (``tests/strand/reference_match.py``).
 
 Per procedure, rules are bucketed by **first-argument principal functor**
-(order-preserving first-argument indexing).  Committed choice must commit on
+(an order-preserving first-argument index).  Committed choice must commit on
 the first *textually* matching rule, so buckets preserve textual order and
 rules whose first head argument is a variable appear in every bucket; a goal
 whose first argument is unbound considers the full rule list.  Skipping a
@@ -33,11 +33,9 @@ rule is sound only when its head could neither match *nor suspend* — which
 is exactly the rules whose first pattern has a different principal functor
 from the goal's (already bound) first argument.  A value that is not a term
 (a port) has no principal functor and only variable patterns match it, so
-such a goal considers the wildcard rules.
-
-:class:`SymbolTable` is the shared interned name/arity view of a program
-(indicators, functors, per-procedure callees); the linter, call-graph, and
-complexity accounting consume it instead of re-deriving their own maps.
+such a goal considers the wildcard rules.  A procedure whose rules
+cannot be told apart by first argument (arity 0, one rule, or every first
+argument a variable) keeps its plain rule list.
 """
 
 from __future__ import annotations
@@ -47,9 +45,7 @@ import zlib
 from typing import Any, Callable
 
 from repro.strand.arith import ArithFail, Suspend, _eval
-# GUARD_TESTS and _COMPARISONS are re-exported for the tests' oracle.
-from repro.strand.codegen import COMPARISONS as _COMPARISONS  # noqa: F401
-from repro.strand.codegen import GUARD_TESTS, OPERATORS, RuleWriter  # noqa: F401
+from repro.strand.codegen import OPERATORS, RuleWriter
 from repro.strand.program import Procedure, Program, Rule
 from repro.strand.terms import (
     _UNBOUND,
@@ -65,8 +61,6 @@ from repro.strand.terms import (
 )
 
 __all__ = [
-    "SymbolTable",
-    "symbol_table",
     "CompiledRule",
     "CompiledProcedure",
     "CompiledProgram",
@@ -78,113 +72,12 @@ __all__ = [
 #: Process-wide compilation counters (observable by tests and benchmarks):
 #: ``programs`` counts full compilations, ``hits`` cache reuses, ``rules``
 #: total rules compiled.
-COMPILE_STATS = {"programs": 0, "hits": 0, "rules": 0, "symbol_tables": 0}
+COMPILE_STATS = {"programs": 0, "hits": 0, "rules": 0}
 
 
 def reset_compile_stats() -> None:
     for key in COMPILE_STATS:
         COMPILE_STATS[key] = 0
-
-
-# ---------------------------------------------------------------------------
-# Interned symbol tables
-# ---------------------------------------------------------------------------
-
-class SymbolTable:
-    """Interned name/arity view of one program.
-
-    * ``indicators``  — ``(name, arity) -> dense id`` in definition order;
-      the *keys* are the canonical interned indicator tuples, so every
-      consumer shares one tuple per procedure instead of re-deriving its own;
-    * ``functors``    — ``name -> dense id`` over head functors;
-    * ``calls``       — per-procedure callee indicators, in rule/body order,
-      with placement annotations (``Goal @ Where``) looked through;
-    * ``rule_counts`` / ``goal_counts`` — per-procedure sizes (goals counts
-      guards + body goals, matching ``Program.goal_count``).
-    """
-
-    __slots__ = ("indicators", "functors", "calls", "rule_counts",
-                 "goal_counts", "_canon")
-
-    def __init__(self, program: Program):
-        COMPILE_STATS["symbol_tables"] += 1
-        self._canon: dict[tuple[str, int], tuple[str, int]] = {}
-        self.indicators: dict[tuple[str, int], int] = {}
-        self.functors: dict[str, int] = {}
-        self.calls: dict[tuple[str, int], tuple[tuple[str, int], ...]] = {}
-        self.rule_counts: dict[tuple[str, int], int] = {}
-        self.goal_counts: dict[tuple[str, int], int] = {}
-        for proc in program:
-            self._add_procedure(proc)
-
-    def _add_procedure(self, proc: Procedure) -> None:
-        indicator = self.intern(proc.name, proc.arity)
-        callees: list[tuple[str, int]] = []
-        goals = 0
-        for rule in proc.rules:
-            goals += len(rule.guards) + len(rule.body)
-            for goal in rule.body:
-                callee = _call_indicator(goal)
-                if callee is not None:
-                    callees.append(self.intern(*callee))
-        self.calls[indicator] = tuple(callees)
-        self.rule_counts[indicator] = len(proc.rules)
-        self.goal_counts[indicator] = goals
-
-    def intern(self, name: str, arity: int) -> tuple[str, int]:
-        """The canonical tuple for ``name/arity`` (registering it if new).
-        Every intern of the same pair returns the same tuple object."""
-        indicator = (name, arity)
-        canon = self._canon.get(indicator)
-        if canon is None:
-            self._canon[indicator] = indicator
-            self.indicators[indicator] = len(self.indicators)
-            if name not in self.functors:
-                self.functors[name] = len(self.functors)
-            canon = indicator
-        return canon
-
-    @property
-    def defined(self) -> set[tuple[str, int]]:
-        """Indicators of procedures defined by the program."""
-        return set(self.calls)
-
-    def callees(self, indicator: tuple[str, int]) -> tuple[tuple[str, int], ...]:
-        return self.calls.get(indicator, ())
-
-    def total_rules(self) -> int:
-        return sum(self.rule_counts.values())
-
-    def total_goals(self) -> int:
-        return sum(self.goal_counts.values())
-
-    def __contains__(self, indicator: tuple[str, int]) -> bool:
-        return indicator in self.calls
-
-    def __len__(self) -> int:
-        return len(self.calls)
-
-
-def _call_indicator(goal: Term) -> tuple[str, int] | None:
-    """``name/arity`` a body goal calls, looking through ``@`` placement."""
-    goal = deref(goal)
-    while type(goal) is Struct and goal.functor == "@" and len(goal.args) == 2:
-        goal = deref(goal.args[0])
-    if type(goal) is Struct:
-        return (goal.functor, len(goal.args))
-    if type(goal) is Atom:
-        return (goal.name, 0)
-    return None
-
-
-def symbol_table(program: Program) -> SymbolTable:
-    """The program's :class:`SymbolTable`, cached against its version."""
-    cached = getattr(program, "_symbol_cache", None)
-    if cached is not None and cached[0] == program.version:
-        return cached[1]
-    table = SymbolTable(program)
-    program._symbol_cache = (program.version, table)
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +200,7 @@ class _Namespace(dict):
 # Rules, procedures, programs
 # ---------------------------------------------------------------------------
 
-#: Bucket keys for first-argument indexing; ``None`` = variable (wildcard).
+#: Bucket keys of the first-argument index; ``None`` = variable (wildcard).
 IndexKey = Any
 
 
@@ -383,21 +276,20 @@ def _generate(proc: Procedure) -> tuple[CompiledRule, ...]:
 
 
 class CompiledProcedure:
-    """All compiled rules of one procedure, with first-argument buckets."""
+    """All compiled rules of one procedure, with first-argument buckets.
+
+    ``indexed`` is False when the rules cannot be told apart by first
+    argument (arity 0, one rule, or every first argument a variable):
+    selection then tries the plain rule list."""
 
     __slots__ = ("name", "arity", "rules", "buckets", "wildcards", "indexed")
 
-    def __init__(self, proc: Procedure, index: bool = True):
+    def __init__(self, proc: Procedure):
         self.name = proc.name
         self.arity = proc.arity
         self.rules = _generate(proc)
         keys = {r.index_key for r in self.rules}
-        self.indexed = (
-            index
-            and self.arity > 0
-            and len(self.rules) > 1
-            and keys != {None}
-        )
+        self.indexed = self.arity > 0 and len(self.rules) > 1 and keys != {None}
         if self.indexed:
             # Wildcard rules (var-headed first argument) appear in every
             # bucket; textual order within each bucket is preserved, so the
@@ -448,29 +340,23 @@ class CompiledProcedure:
 
 
 class CompiledProgram:
-    """A program lowered for execution: interned symbol table plus one
-    :class:`CompiledProcedure` per procedure."""
+    """A program lowered for execution: one :class:`CompiledProcedure` per
+    procedure."""
 
-    __slots__ = ("program", "symbols", "procedures", "indexed", "motif_of")
+    __slots__ = ("program", "procedures", "motif_of")
 
-    def __init__(self, program: Program, *, index: bool = True):
+    def __init__(self, program: Program):
         COMPILE_STATS["programs"] += 1
         self.program = program
-        self.indexed = index
-        self.symbols = symbol_table(program)
         self.procedures: dict[tuple[str, int], CompiledProcedure] = {}
         # Provenance view: indicator -> motif tag of its first rule
         # (``None`` for user-written procedures).  Per-rule tags stay on
         # ``CompiledRule.rule.motif``; this map answers the common "which
         # layer owns this procedure?" query without touching rules.
         self.motif_of: dict[tuple[str, int], str | None] = {}
-        for indicator in self.symbols.indicators:
-            proc = program.procedure(*indicator)
-            if proc is not None:
-                self.procedures[indicator] = CompiledProcedure(proc, index=index)
-                self.motif_of[indicator] = (
-                    proc.rules[0].motif if proc.rules else None
-                )
+        for proc in program:
+            self.procedures[proc.indicator] = CompiledProcedure(proc)
+            self.motif_of[proc.indicator] = proc.rules[0].motif if proc.rules else None
 
     def procedure(self, indicator: tuple[str, int]) -> CompiledProcedure | None:
         return self.procedures.get(indicator)
@@ -479,24 +365,15 @@ class CompiledProgram:
         return indicator in self.procedures
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = "indexed" if self.indexed else "linear"
-        return f"<CompiledProgram {self.program.name!r} {mode} {len(self.procedures)} procedures>"
+        return f"<CompiledProgram {self.program.name!r} {len(self.procedures)} procedures>"
 
 
-def compile_program(program: Program, *, index: bool = True) -> CompiledProgram:
-    """Compile ``program`` (cached per program instance and version).
-
-    Two cache slots per program — indexed and linear — so the benchmark
-    ablation can hold both without recompiling either.
-    """
-    cache = getattr(program, "_compiled_cache", None)
-    if cache is None:
-        cache = {}
-        program._compiled_cache = cache
-    entry = cache.get(index)
-    if entry is not None and entry[0] == program.version:
+def compile_program(program: Program) -> CompiledProgram:
+    """Compile ``program`` (cached per program instance and version)."""
+    cached = getattr(program, "_compiled_cache", None)
+    if cached is not None and cached[0] == program.version:
         COMPILE_STATS["hits"] += 1
-        return entry[1]
-    compiled = CompiledProgram(program, index=index)
-    cache[index] = (program.version, compiled)
+        return cached[1]
+    compiled = CompiledProgram(program)
+    program._compiled_cache = (program.version, compiled)
     return compiled

@@ -12,9 +12,9 @@ The runtime is a pipeline: *parse → transform → compile → schedule/reduce*
 the pieces together:
 
 * the **compile layer** (:mod:`repro.strand.compile`) lowers the program to
-  a :class:`CompiledProgram` — interned indicator tables, one generated
-  Python function per rule (head match, guards and body build), and
-  order-preserving first-argument rule indexing;
+  a :class:`CompiledProgram` — one generated Python function per rule
+  (head match, guards and body build) and an order-preserving
+  first-argument rule index;
 * the **scheduler** (:mod:`repro.strand.scheduler`) is a discrete-event
   simulator: a global event heap orders processors by the earliest time they
   can next execute, and per-processor heaps order processes by readiness;
@@ -106,10 +106,6 @@ class StrandEngine:
         has gone quiet, the engine closes all ports so services can
         terminate — the engine-level complement of the short-circuit
         termination motif.
-    indexing:
-        When False, rule selection falls back to a linear scan over the
-        compiled rules (the benchmark ablation switch); semantics are
-        identical either way.
     profile:
         Optional :class:`~repro.machine.profile.MotifProfile` — when set,
         every reduction, suspension, and explicit message is attributed to
@@ -138,7 +134,6 @@ class StrandEngine:
         library: Iterable[tuple[str, int]] = (),
         services: Iterable[tuple[str, int]] = (),
         max_reductions: int = 5_000_000,
-        indexing: bool = True,
         abandon_stragglers: bool = False,
         profile=None,
     ):
@@ -161,11 +156,10 @@ class StrandEngine:
             library=tuple(sorted(self.library)),
             services=tuple(sorted(self.services)),
             max_reductions=max_reductions,
-            indexing=indexing,
             abandon_stragglers=abandon_stragglers,
         )
 
-        self.compiled: CompiledProgram = compile_program(program, index=indexing)
+        self.compiled: CompiledProgram = compile_program(program)
         self.scheduler = Scheduler(self.machine, max_reductions)
         self.reducer = Reducer(self, self.compiled, self.foreign)
 

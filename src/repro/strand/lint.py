@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.strand.builtins import BUILTINS
-from repro.strand.compile import symbol_table
 from repro.strand.program import Program, Rule
 from repro.strand.terms import Atom, Cons, Struct, Term, Tup, Var, deref
 from repro.transform.callgraph import CallGraph
@@ -62,9 +61,7 @@ def lint_program(
     declares the roots for reachability (defaults to every procedure, which
     disables the unused check unless entries are given)."""
     warnings: list[LintWarning] = []
-    # The shared interned indicator table (also consumed by the call graph
-    # and the compile layer) is the source of truth for what is defined.
-    known = symbol_table(program).defined | set(BUILTINS) | set(foreign)
+    known = set(program.indicators) | set(BUILTINS) | set(foreign)
 
     for proc in program:
         label = f"{proc.name}/{proc.arity}"

@@ -153,7 +153,6 @@ class Program:
         # demand, so they must not (and cannot) cross process boundaries
         # when the parallel backend ships programs to workers.
         state = self.__dict__.copy()
-        state.pop("_symbol_cache", None)
         state.pop("_compiled_cache", None)
         return state
 
@@ -226,16 +225,6 @@ class Program:
             for rule in proc.rules:
                 out.add_rule(rule.rename())
         return out
-
-    def replace_procedure(self, proc: Procedure) -> None:
-        """Overwrite (or add) a procedure — used by transformations that
-        rewrite whole procedures in place on their working copy."""
-        self._procs[proc.indicator] = proc
-        self._version += 1
-
-    def remove_procedure(self, name: str, arity: int) -> None:
-        self._procs.pop((name, arity), None)
-        self._version += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Program({self.name!r}, {self.rule_count()} rules)"

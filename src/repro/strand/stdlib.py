@@ -35,7 +35,7 @@ list_length(Xs, N) :- len_acc(Xs, 0, N).
 len_acc([_ | Xs], Acc, N) :- Acc1 := Acc + 1, len_acc(Xs, Acc1, N).
 len_acc([], Acc, N) :- N := Acc.
 
-% nth_item(I, Xs, X): 1-based list indexing.
+% nth_item(I, Xs, X): X is the I-th element of Xs, counting from 1.
 nth_item(1, [X | _], Out) :- Out := X.
 nth_item(I, [_ | Xs], Out) :- I > 1 |
     I1 := I - 1,

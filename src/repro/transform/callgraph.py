@@ -11,30 +11,36 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.strand.compile import symbol_table
 from repro.strand.program import Program
+from repro.strand.terms import Atom, Struct, Term, deref
 
 __all__ = ["CallGraph"]
 
 
+def _call_indicator(goal: Term) -> tuple[str, int] | None:
+    """``name/arity`` a body goal calls, looking through ``@`` placement."""
+    goal = deref(goal)
+    while type(goal) is Struct and goal.functor == "@" and len(goal.args) == 2:
+        goal = deref(goal.args[0])
+    if type(goal) is Struct:
+        return (goal.functor, len(goal.args))
+    if type(goal) is Atom:
+        return (goal.name, 0)
+    return None
+
+
 class CallGraph:
     """Static call graph of a program: ``caller -> {callees}`` over
-    ``name/arity`` indicators (placement annotations looked through).
-
-    Built from the program's shared :class:`~repro.strand.compile.SymbolTable`
-    (cached per program version) rather than re-walking rule bodies, so the
-    linter, the argument-threading transformations, and the engine all agree
-    on one interned name/arity view.
-    """
+    ``name/arity`` indicators (placement annotations looked through)."""
 
     def __init__(self, program: Program):
-        table = symbol_table(program)
-        self.defined: set[tuple[str, int]] = table.defined
-        self.edges: dict[tuple[str, int], set[tuple[str, int]]] = defaultdict(set)
-        for indicator in table.calls:
-            callees = table.callees(indicator)
+        self.defined: set[tuple[str, int]] = set(program.indicators)
+        self.edges: dict[tuple[str, int], set[tuple[str, int]]] = {}
+        for proc in program:
+            callees = {_call_indicator(goal) for rule in proc.rules for goal in rule.body}
+            callees.discard(None)
             if callees:
-                self.edges[indicator].update(callees)
+                self.edges[proc.indicator] = callees
 
     def callees(self, indicator: tuple[str, int]) -> set[tuple[str, int]]:
         return set(self.edges.get(indicator, ()))

@@ -27,6 +27,8 @@ class TestComplexity:
         assert size.rules == 4
         assert size.goals == 3  # 1 guard + 2 body goals
         assert size.lines > 0
+        assert (size.procedures, size.rules, size.goals) == (
+            len(program), program.rule_count(), program.goal_count())
 
     def test_empty_program(self):
         from repro.strand.program import Program

@@ -1,9 +1,9 @@
 """Every way of running a program gives the same answer.
 
-One differential harness over the execution modes: rule selection
-(indexed or linear) crossed with observation (untraced, full trace, ring
-trace, per-motif profile) on the sequential backend, and with untraced or
-fully traced runs on the parallel backend (two workers).  Hypothesis draws
+One differential harness over the execution modes: observation
+(untraced, full trace, ring trace, per-motif profile) on the sequential
+backend, and untraced or fully traced runs on the parallel backend (two
+workers).  Hypothesis draws
 the input size, the processor count and the seed.
 
 * Sequential runs must agree on the answer and on every machine metric
@@ -118,10 +118,8 @@ def comparable(metrics):
     return replace(metrics, trace_dropped=0)
 
 
-def run_mode(program, size, machine, indexing, profile=False):
-    options = {"indexing": indexing}
-    if profile:
-        options["profile"] = MotifProfile()
+def run_mode(program, size, machine, profile=False):
+    options = {"profile": MotifProfile()} if profile else {}
     answer, metrics = PROGRAMS[program](size, machine, **options)
     if machine.trace.enabled:
         assert len(machine.trace) > 0
@@ -136,25 +134,21 @@ def run_mode(program, size, machine, indexing, profile=False):
        seed=st.integers(min_value=0, max_value=99))
 def test_every_mode_agrees(program, size, processors, seed):
     sequential = {
-        (indexing, trace, profile): run_mode(
-            program, size, make_machine(processors, seed, trace),
-            indexing, profile)
-        for indexing in (True, False)
+        (trace, profile): run_mode(
+            program, size, make_machine(processors, seed, trace), profile)
         for trace, profile in SEQUENTIAL_MODES
     }
-    answer, metrics = sequential[(True, None, False)]
+    answer, metrics = sequential[(None, False)]
     for mode, outcome in sequential.items():
         assert outcome == (answer, metrics), mode
 
     parallel = {
-        (indexing, trace): run_mode(
+        trace: run_mode(
             program, size,
-            make_machine(processors, seed, trace, backend="parallel"),
-            indexing)
-        for indexing in (True, False)
+            make_machine(processors, seed, trace, backend="parallel"))
         for trace in PARALLEL_MODES
     }
-    par_answer, par_metrics = parallel[(True, None)]
+    par_answer, par_metrics = parallel[None]
     assert par_answer == answer
     for mode, outcome in parallel.items():
         assert outcome == (answer, par_metrics), mode
@@ -163,4 +157,4 @@ def test_every_mode_agrees(program, size, processors, seed):
 def test_parallel_profile_not_implemented():
     with pytest.raises(NotImplementedError, match="per-motif profiling"):
         run_mode("sieve", 3, make_machine(2, 0, None, backend="parallel"),
-                 indexing=True, profile=True)
+                 profile=True)

@@ -4,9 +4,10 @@ evaluation and body instantiation, kept as the tests' oracle.
 The runtime executes the compiled plans of :mod:`repro.strand.compile`.
 This module walks rule terms directly instead, one definition per outcome,
 so tests can run each matching case through both and check the compiled
-selection against it on generated programs.  Only head and body structure
-are read independently: repeated head variables, type tests, comparisons
-and ``==``/``\\==`` use the runtime's own helpers, imported below.
+selection against it on generated programs.  Head and body structure,
+type tests and comparisons are read independently (the guard tables
+below); repeated head variables and ``==``/``\\==`` use the runtime's own
+helpers, imported below.
 
 The paper (§2.1): "Conditions expressed by non-variable terms in a rule head
 define dataflow constraints: A rule cannot be used to reduce a process until
@@ -26,9 +27,12 @@ logic.
 
 from __future__ import annotations
 
+import operator
+
 from repro.strand.arith import ArithFail, Suspend, eval_arith
-from repro.strand.compile import GUARD_TESTS, _COMPARISONS, _match_values
+from repro.strand.compile import _match_values
 from repro.strand.terms import (
+    NIL,
     Atom,
     Cons,
     Struct,
@@ -41,6 +45,27 @@ from repro.strand.terms import (
 )
 
 __all__ = ["MatchResult", "match_head", "eval_guards", "instantiate"]
+
+#: Arithmetic comparison guards over evaluated operands.
+_COMPARISONS = {
+    "<": operator.lt,
+    ">": operator.gt,
+    "=<": operator.le,
+    ">=": operator.ge,
+    "=\\=": operator.ne,
+    "=:=": operator.eq,
+}
+
+#: Type-test guards over a dereffed, bound operand.
+GUARD_TESTS = {
+    "integer": lambda t: type(t) is int,
+    "number": lambda t: type(t) is int or type(t) is float,
+    "float": lambda t: type(t) is float,
+    "atom": lambda t: type(t) is Atom,
+    "string": lambda t: type(t) is str,
+    "list": lambda t: type(t) is Cons or t is NIL,
+    "tuple": lambda t: type(t) is Tup,
+}
 
 
 class MatchResult:

@@ -1,4 +1,4 @@
-"""The compile layer: symbol tables, plans, and first-argument indexing.
+"""The compile layer: generated rule functions and first-argument indexing.
 
 The load-bearing property: indexed rule selection must be observationally
 identical to the seed engine's linear scan — same committed rule (the first
@@ -15,7 +15,6 @@ from repro.strand.compile import (
     COMPILE_STATS,
     CompiledProcedure,
     compile_program,
-    symbol_table,
 )
 from repro.strand.program import Procedure, Rule
 from repro.strand.streams import PortRef
@@ -142,6 +141,18 @@ def compiled_select(compiled: CompiledProcedure, goal):
     if selected is None:
         return ("fail",)
     return ("commit", selected[0].order)
+
+
+def linear_select(compiled: CompiledProcedure, goal):
+    """The compiled rules tried in textual order, ignoring the buckets."""
+    blocked = []
+    for crule in compiled.rules:
+        if crule.commit(goal.args, blocked) is not None:
+            return ("commit", crule.order)
+    if blocked:
+        goal_vars = _goal_var_ids(goal)
+        return ("suspend", frozenset(id(deref(v)) for v in blocked) & goal_vars)
+    return ("fail",)
 
 
 # Head-pattern strategy: atoms, numbers, strings, vars, and nested
@@ -285,15 +296,13 @@ class TestIndexedEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(_procedures(), _goals())
     def test_indexed_selection_matches_linear_and_reference(self, proc, goal):
-        indexed = CompiledProcedure(proc, index=True)
-        linear = CompiledProcedure(proc, index=False)
+        compiled = CompiledProcedure(proc)
         expected = reference_select(proc.rules, goal)
-        assert compiled_select(linear, goal) == expected
-        assert compiled_select(indexed, goal) == expected
+        assert linear_select(compiled, goal) == expected
+        assert compiled_select(compiled, goal) == expected
         if expected[0] == "commit":
             body = Tup(reference_body(proc.rules[expected[1]], goal))
-            assert is_variant(Tup(compiled_body(indexed, goal)), body)
-            assert is_variant(Tup(compiled_body(linear, goal)), body)
+            assert is_variant(Tup(compiled_body(compiled, goal)), body)
 
     @settings(max_examples=200, deadline=None)
     @given(_guarded_procedures(), _goals(), st.one_of(
@@ -305,12 +314,11 @@ class TestIndexedEquivalence:
         # non-arithmetic and guard-only operands, decide as the oracle does.
         goal = Struct("p", (goal.args[0], second))
         expected = reference_select(proc.rules, goal)
-        for index in (True, False):
-            compiled = CompiledProcedure(proc, index=index)
-            assert compiled_select(compiled, goal) == expected
-            if expected[0] == "commit":
-                body = Tup(reference_body(proc.rules[expected[1]], goal))
-                assert is_variant(Tup(compiled_body(compiled, goal)), body)
+        compiled = CompiledProcedure(proc)
+        assert compiled_select(compiled, goal) == expected
+        if expected[0] == "commit":
+            body = Tup(reference_body(proc.rules[expected[1]], goal))
+            assert is_variant(Tup(compiled_body(compiled, goal)), body)
 
     def test_port_first_argument_falls_back_to_wildcards(self):
         # A port matches only a variable head argument; indexed selection
@@ -320,10 +328,8 @@ class TestIndexedEquivalence:
         p(none, Out) :- Out := no.
         p(P, Out) :- Out := yes.
         """
-        program = parse_program(src)
-        for indexing in (True, False):
-            result = run_query(program, "go(Out, S)", indexing=indexing)
-            assert deref(result.bindings["Out"]) is Atom("yes"), indexing
+        result = run_query(parse_program(src), "go(Out, S)")
+        assert deref(result.bindings["Out"]) is Atom("yes")
 
     def test_var_headed_rules_stay_in_every_bucket(self):
         proc = Procedure("p", 1)
@@ -331,7 +337,7 @@ class TestIndexedEquivalence:
         wildcard = Rule(head=Struct("p", (Var("X"),)), body=[])
         proc.add(wildcard)
         proc.add(Rule(head=Struct("p", (Atom("b"),)), body=[]))
-        compiled = CompiledProcedure(proc, index=True)
+        compiled = CompiledProcedure(proc)
         assert compiled.indexed
         for key, bucket in compiled.buckets.items():
             assert any(r.rule is wildcard for r in bucket), key
@@ -342,6 +348,21 @@ class TestIndexedEquivalence:
         assert [r.order for r in compiled.candidates((Atom("zzz"),))] == [1]
         # Unbound first argument → the full rule list, in order.
         assert [r.order for r in compiled.candidates((Var(),))] == [0, 1, 2]
+
+    def test_variable_first_arguments_keep_the_rule_list(self):
+        # Nothing to index on: selection scans the rules in textual order.
+        program = parse_program("""
+        p(X, Out) :- X > 0 | Out := pos.
+        p(X, Out) :- X < 0 | Out := neg.
+        p(_, Out) :- Out := zero.
+        """)
+        proc = program.procedure("p", 2)
+        compiled = CompiledProcedure(proc)
+        assert compiled.indexed is False
+        assert compiled.candidates((Atom("a"), Var())) == compiled.rules
+        for first in (3, -2, 0, Atom("a"), Var("U")):
+            goal = Struct("p", (first, Var("Out")))
+            assert compiled_select(compiled, goal) == reference_select(proc.rules, goal)
 
     def test_commit_order_preserved_within_bucket(self):
         # Two rules with the same key: the textually-first one commits.
@@ -371,14 +392,6 @@ class TestCompileCache:
         assert second is first
         assert COMPILE_STATS["hits"] == hits + 1
 
-    def test_indexed_and_linear_cached_separately(self):
-        program = parse_program("p(a).\np(b).")
-        indexed = compile_program(program, index=True)
-        linear = compile_program(program, index=False)
-        assert indexed is not linear
-        assert compile_program(program, index=True) is indexed
-        assert compile_program(program, index=False) is linear
-
     def test_mutation_invalidates(self):
         program = parse_program("p(a).")
         first = compile_program(program)
@@ -386,37 +399,6 @@ class TestCompileCache:
         second = compile_program(program)
         assert second is not first
         assert len(second.procedure(("p", 1)).rules) == 2
-
-
-class TestSymbolTable:
-    def test_interned_indicators_are_shared(self):
-        program = parse_program("go :- work, work.\nwork.")
-        table = symbol_table(program)
-        assert table.intern("work", 0) is table.intern("work", 0)
-        assert ("go", 0) in table and ("work", 0) in table
-        assert table.callees(("go", 0)) == (("work", 0), ("work", 0))
-
-    def test_calls_look_through_placement(self):
-        program = parse_program("go :- work @ 2.\nwork.")
-        table = symbol_table(program)
-        assert table.callees(("go", 0)) == (("work", 0),)
-
-    def test_counts_match_program(self):
-        program = parse_program("""
-        go(N) :- N > 0 | work, go(N).
-        go(0).
-        work.
-        """)
-        table = symbol_table(program)
-        assert table.total_rules() == program.rule_count()
-        assert table.total_goals() == program.goal_count()
-
-    def test_cached_per_version(self):
-        program = parse_program("p.")
-        first = symbol_table(program)
-        assert symbol_table(program) is first
-        program.add_rule(parse_program("q.").procedure("q", 0).rules[0])
-        assert symbol_table(program) is not first
 
 
 class TestTemplates:
@@ -493,18 +475,3 @@ class TestGeneratedCode:
         assert depth <= 3
         assert max(line.count("(") for line in source.splitlines()) < 100
 
-
-class TestEngineIndexingFlag:
-    def test_linear_mode_semantics_identical(self):
-        src = """
-        classify(0, Out) :- Out := zero.
-        classify(N, Out) :- N > 0 | Out := pos.
-        classify(N, Out) :- N < 0 | Out := neg.
-        """
-        program = parse_program(src)
-        for value, expect in ((0, "zero"), (7, "pos"), (-2, "neg")):
-            on = run_query(program, f"classify({value}, Out)", indexing=True)
-            off = run_query(program, f"classify({value}, Out)", indexing=False)
-            assert deref(on.bindings["Out"]) is Atom(expect)
-            assert deref(off.bindings["Out"]) is Atom(expect)
-            assert on.metrics.reductions == off.metrics.reductions

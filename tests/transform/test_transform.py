@@ -94,6 +94,7 @@ class TestCallGraph:
         graph = CallGraph(parse_program(SAMPLE))
         assert ("b", 1) in graph.callees(("a", 1))
         assert ("send", 2) in graph.callees(("b", 1))
+        assert graph.defined == {("a", 1), ("b", 1), ("c", 0), ("d", 0), ("standalone", 0)}
 
     def test_callers_of_transitive(self):
         graph = CallGraph(parse_program(SAMPLE))
@@ -115,6 +116,7 @@ class TestCallGraph:
     def test_placement_looked_through(self):
         graph = CallGraph(parse_program("p :- q @ random.\nq :- send(1, m)."))
         assert graph.callers_of({("send", 2)}) == {("p", 0), ("q", 0)}
+        assert graph.callees(("p", 0)) == {("q", 0)}
 
 
 class TestTransformationBase:
