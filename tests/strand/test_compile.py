@@ -9,6 +9,7 @@ arbitrary programs and goals.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.complexity import measure
 from repro.strand import parse_program, run_query
 from repro.strand.arith import Suspend
 from repro.strand.compile import (
@@ -30,6 +31,7 @@ from repro.strand.terms import (
     make_list,
     term_vars,
 )
+from repro.transform.callgraph import CallGraph
 from tests.strand.matchers import COMPILED
 from tests.strand.reference_match import (
     MatchResult,
@@ -399,6 +401,35 @@ class TestCompileCache:
         second = compile_program(program)
         assert second is not first
         assert len(second.procedure(("p", 1)).rules) == 2
+
+
+class TestSymbolTable:
+    """A program's symbol facts — what it defines, what each procedure
+    calls, how large it is — as the compiler and the analyses read them."""
+
+    def test_interned_indicators_are_shared(self):
+        program = parse_program("go :- work, work.\nwork.")
+        compiled = compile_program(program)
+        assert compiled.procedure(("work", 0)) is compiled.procedure(("work", 0))
+        assert ("go", 0) in compiled and ("work", 0) in compiled
+        graph = CallGraph(program)
+        assert graph.defined == {("go", 0), ("work", 0)}
+        assert graph.callees(("go", 0)) == {("work", 0)}
+
+    def test_calls_look_through_placement(self):
+        program = parse_program("go :- work @ 2.\nwork.")
+        assert CallGraph(program).callees(("go", 0)) == {("work", 0)}
+
+    def test_counts_match_program(self):
+        program = parse_program("""
+        go(N) :- N > 0 | work, go(N).
+        go(0).
+        work.
+        """)
+        size = measure(program)
+        assert (size.procedures, size.rules, size.goals) == (2, 3, 3)
+        assert size.rules == program.rule_count()
+        assert size.goals == program.goal_count()
 
 
 class TestTemplates:
