@@ -17,7 +17,8 @@ instrumentation modes:
 Because the machine is a *virtual-time* simulator, instrumentation must
 never change the computed answer, the schedule, or the makespan — the
 bench asserts all three are identical across modes.  Timing uses CPU
-time (``process_time``), min-of-N, to suppress scheduler noise.
+time (``process_time``), min-of-N, to suppress scheduler noise, with the
+modes run in turn so that a drift of the host's speed reaches all of them.
 
 When the pre-PR baseline commit is reachable (``PRE_PR_REF``), the same
 workload is also timed against a detached worktree of the engine *before*
@@ -64,6 +65,7 @@ PRE_PR_REF = "7c1827ec7fde42d85292e340b4ab7cb8e5b43168"
 PROCESSORS = 4
 SEED = 7
 RING_LIMIT = 2048
+MODES = ("off", "ring", "full", "profile", "sink")
 
 #: Documented budgets (docs/OBSERVABILITY.md).  ``OFF_BUDGET`` is the
 #: claim; ``OFF_CI_GATE`` is what CI enforces (headroom for noisy shared
@@ -100,7 +102,9 @@ print(json.dumps({'min_wall_s': min(walls), 'value': result.value}))
 
 
 def _run_once(leaves: int, mode: str, sink_path: Path | None = None):
-    """One timed run; returns (CPU seconds, result, machine)."""
+    """One timed run; returns its CPU seconds and determinism fingerprints.
+    Only these small values outlive the run, so no trace of one mode stays
+    on the heap while the next mode runs."""
     tree = arithmetic_tree(leaves, seed=3)
     machine = Machine(PROCESSORS, seed=SEED)
     profile = None
@@ -124,28 +128,41 @@ def _run_once(leaves: int, mode: str, sink_path: Path | None = None):
     wall = process_time() - start
     if sink is not None:
         sink.close()
-    return wall, result, machine
-
-
-def measure(leaves: int, repeats: int, mode: str) -> dict:
-    """min-of-N CPU time for one mode, plus determinism fingerprints."""
-    walls = []
-    with tempfile.TemporaryDirectory() as tmp:
-        sink_path = Path(tmp) / "trace.jsonl"
-        for _ in range(repeats):
-            wall, result, machine = _run_once(leaves, mode, sink_path)
-            walls.append(wall)
-    wall = min(walls)
-    return {
-        "mode": mode,
-        "min_wall_s": round(wall, 6),
+    return wall, {
         "reductions": result.metrics.reductions,
-        "reductions_per_s": round(result.metrics.reductions / wall),
         "events": len(machine.trace),
         "events_dropped": machine.trace.dropped,
         "value": result.value,
         "makespan": result.metrics.makespan,
     }
+
+
+def measure(leaves: int, repeats: int) -> list[dict]:
+    """min-of-N CPU time per mode, plus determinism fingerprints.  The
+    modes take turns (off, ring, full, …, off, ring, …), so a drift of the
+    host's speed during the bench reaches every mode alike."""
+    walls: dict[str, list[float]] = {mode: [] for mode in MODES}
+    facts = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        sink_path = Path(tmp) / "trace.jsonl"
+        for _ in range(repeats):
+            for mode in MODES:
+                wall, facts[mode] = _run_once(leaves, mode, sink_path)
+                walls[mode].append(wall)
+    rows = []
+    for mode in MODES:
+        wall, fact = min(walls[mode]), facts[mode]
+        rows.append({
+            "mode": mode,
+            "min_wall_s": round(wall, 6),
+            "reductions": fact["reductions"],
+            "reductions_per_s": round(fact["reductions"] / wall),
+            "events": fact["events"],
+            "events_dropped": fact["events_dropped"],
+            "value": fact["value"],
+            "makespan": fact["makespan"],
+        })
+    return rows
 
 
 def _child_time(pythonpath: Path, leaves: int, repeats: int) -> dict:
@@ -220,8 +237,7 @@ def run_bench(config) -> dict:
     # for one-time setup.
     _run_once(leaves, "off")
 
-    rows = [measure(leaves, repeats, mode)
-            for mode in ("off", "ring", "full", "profile", "sink")]
+    rows = measure(leaves, repeats)
     off = rows[0]
     for row in rows:
         row["overhead_vs_off"] = round(row["min_wall_s"] / off["min_wall_s"], 3)

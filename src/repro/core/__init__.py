@@ -11,8 +11,8 @@ from repro.core.api import (
     supervised_reduce_tree,
 )
 from repro.core.motif import AppliedMotif, ComposedMotif, Motif, library_from_source
-from repro.core.pragmas import RANDOM, TASK, annotate, is_pragma_goal, pragma_name
-from repro.core.registry import MotifRegistry, default_registry, get_motif, register_motif
+from repro.core.pragmas import RANDOM, TASK
+from repro.core.registry import MotifRegistry, default_registry, get_motif
 
 __all__ = [
     "Motif",
@@ -28,11 +28,7 @@ __all__ = [
     "TREE_STRATEGIES",
     "RANDOM",
     "TASK",
-    "annotate",
-    "is_pragma_goal",
-    "pragma_name",
     "MotifRegistry",
     "default_registry",
     "get_motif",
-    "register_motif",
 ]

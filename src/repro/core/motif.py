@@ -54,18 +54,8 @@ __all__ = [
     "ComposedMotif",
     "AppliedMotif",
     "library_from_source",
-    "MOTIF_STATS",
     "APPLY_CACHE_SIZE",
-    "reset_motif_stats",
 ]
-
-#: Process-wide counters observable by tests and benchmarks.
-MOTIF_STATS = {
-    "library_parses": 0,
-    "library_hits": 0,
-    "apply_calls": 0,
-    "apply_hits": 0,
-}
 
 _LIBRARY_CACHE: dict[tuple[str, str], Program] = {}
 
@@ -75,20 +65,13 @@ _LIBRARY_CACHE: dict[tuple[str, str], Program] = {}
 APPLY_CACHE_SIZE = 256
 
 
-def reset_motif_stats() -> None:
-    for key in MOTIF_STATS:
-        MOTIF_STATS[key] = 0
-
-
 def library_from_source(source: str, name: str) -> Program:
     """Parse a library program from Strand source text (memoized: each
     distinct ``(name, source)`` pair is parsed once per process)."""
     key = (name, source)
     cached = _LIBRARY_CACHE.get(key)
     if cached is not None:
-        MOTIF_STATS["library_hits"] += 1
         return cached
-    MOTIF_STATS["library_parses"] += 1
     program = parse_program(source, name=name)
     _LIBRARY_CACHE[key] = program
     return program
@@ -198,7 +181,6 @@ class Motif:
 
     def _apply_cached(self, application: Program | AppliedMotif) -> AppliedMotif:
         """The canonical (shared, do-not-mutate) application result."""
-        MOTIF_STATS["apply_calls"] += 1
         program = (
             application.program
             if isinstance(application, AppliedMotif)
@@ -208,7 +190,6 @@ class Motif:
         cache = self._apply_cache
         hit = cache.get(key)
         if hit is not None:
-            MOTIF_STATS["apply_hits"] += 1
             cache.move_to_end(key)
             return hit[1]
         result = self._apply_impl(application)

@@ -8,10 +8,9 @@ pragma, and run directly.
 
 from __future__ import annotations
 
-from repro.strand.terms import Atom, Struct, Term, deref
-from repro.transform.rewrite import strip_placement
+from repro.strand.terms import Atom
 
-__all__ = ["RANDOM", "TASK", "annotate", "is_pragma_goal", "pragma_name"]
+__all__ = ["RANDOM", "TASK"]
 
 #: ``Goal @ random`` — dispatch to a randomly selected processor (§3.3).
 RANDOM = Atom("random")
@@ -19,27 +18,3 @@ RANDOM = Atom("random")
 #: ``Goal @ task`` — hand the goal to the scheduler motif as a task ([6]).
 TASK = Atom("task")
 
-
-def annotate(goal: Struct, pragma: Atom) -> Struct:
-    """Attach a pragma: ``annotate(g, RANDOM)`` builds ``g @ random``."""
-    return Struct("@", (goal, pragma))
-
-
-def is_pragma_goal(goal: Term, pragma: Atom | None = None) -> bool:
-    """True if the goal carries a (specific) pragma annotation."""
-    _, where = strip_placement(goal)
-    if where is None:
-        return False
-    where = deref(where)
-    if type(where) is not Atom:
-        return False
-    return pragma is None or where is pragma
-
-
-def pragma_name(goal: Term) -> str | None:
-    """The pragma atom's name, or None for plain/numeric placements."""
-    _, where = strip_placement(goal)
-    if where is None:
-        return None
-    where = deref(where)
-    return where.name if type(where) is Atom else None

@@ -13,7 +13,7 @@ from typing import Callable
 from repro.core.motif import Motif
 from repro.errors import MotifError
 
-__all__ = ["MotifRegistry", "default_registry", "get_motif", "register_motif"]
+__all__ = ["MotifRegistry", "default_registry", "get_motif"]
 
 
 class MotifRegistry:
@@ -50,10 +50,6 @@ def default_registry() -> MotifRegistry:
     if not _default.names():
         _populate(_default)
     return _default
-
-
-def register_motif(name: str, factory: Callable[..., Motif]) -> None:
-    default_registry().register(name, factory)
 
 
 def get_motif(name: str, **params) -> Motif:

@@ -19,7 +19,6 @@ from repro.machine.topology import (
     Hypercube,
     Mesh2D,
     Ring,
-    SharedMemory,
     Torus2D,
     Topology,
     topology_by_name,
@@ -47,7 +46,6 @@ __all__ = [
     "VirtualProcessor",
     "Topology",
     "FullyConnected",
-    "SharedMemory",
     "Ring",
     "Mesh2D",
     "Torus2D",

@@ -240,11 +240,3 @@ class FaultStats:
     def clear(self) -> None:
         for f in fields(self):
             setattr(self, f.name, 0)
-
-    @property
-    def any_faults(self) -> bool:
-        return bool(
-            self.crashes or self.messages_dropped or self.messages_delayed
-            or self.messages_duplicated or self.partition_dropped
-            or self.processes_abandoned or self.orphaned_suspensions
-        )

@@ -190,12 +190,6 @@ class MachineMetrics(FaultStats):
             return 0.0
         return self.library_cost / total
 
-    def speedup_against(self, sequential_makespan: float) -> float:
-        """Virtual speedup relative to a sequential (P=1) run's makespan."""
-        if self.makespan == 0:
-            return 1.0
-        return sequential_makespan / self.makespan
-
     @property
     def faults_injected(self) -> int:
         return (

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.machine.topology import FullyConnected, Topology
+from repro.machine.topology import Topology
 
 __all__ = ["Network"]
 
@@ -26,11 +26,6 @@ class Network:
     topology: Topology
     startup: float = 2.0
     per_hop: float = 1.0
-
-    @classmethod
-    def uniform(cls, size: int, latency: float = 3.0) -> "Network":
-        """A fully-connected network with a flat per-message latency."""
-        return cls(FullyConnected(size), startup=latency, per_hop=0.0)
 
     @property
     def size(self) -> int:

@@ -374,7 +374,7 @@ class _WorkerState:
         from repro.strand.terms import Var
 
         (shard_id, workers, program, foreign, options, processors, topology,
-         seed, startup, per_hop, trace_cfg) = payload
+         seed, startup, trace_cfg) = payload
         Var.reset_names()
         enabled, limit, ring = trace_cfg
         machine = Machine(
@@ -383,7 +383,6 @@ class _WorkerState:
             # Distinct per-worker RNG stream, fixed by (seed, shard).
             seed=seed * 1_000_003 + shard_id + 1,
             startup_latency=startup,
-            per_hop_latency=per_hop,
             trace=enabled,
         )
         if enabled:
@@ -636,15 +635,23 @@ def run_parallel(engine) -> MachineMetrics:
         machine.trace.limit,
         machine.trace.ring,
     )
+    # The worker engines' options, read off the engine.  No
+    # ``abandon_stragglers``: the parent makes every quiescence decision.
+    options = dict(
+        watched=tuple(sorted(engine.watched)),
+        library=tuple(sorted(engine.library)),
+        services=tuple(sorted(engine.services)),
+        max_reductions=engine.max_reductions,
+    )
     telemetry = EpochTelemetry()
     started = perf_counter()
     pool = _WorkerPool(workers)
     try:
         init_payloads = {
             w: (
-                w, workers, engine.program, engine.foreign, engine._options,
+                w, workers, engine.program, engine.foreign, options,
                 processors, machine.network.topology, machine.seed,
-                machine.network.startup, machine.network.per_hop, trace_cfg,
+                machine.network.startup, trace_cfg,
             )
             for w in range(workers)
         }

@@ -21,8 +21,6 @@ rule that spawned them.  Profiling is off by default — the engine holds
 
 from __future__ import annotations
 
-from typing import Any
-
 __all__ = ["MotifProfile", "USER_TAG"]
 
 #: Profile bucket for rules written by the application programmer.
@@ -78,18 +76,6 @@ class MotifProfile:
             for i in range(4):
                 agg[i] += row[i]
         return out
-
-    def as_dict(self) -> dict[str, Any]:
-        """JSON-friendly dump (stable ordering: busy time, descending)."""
-        return {
-            f"{motif}:{pred}": {
-                "reductions": row[0], "suspensions": row[1],
-                "messages": row[2], "busy": row[3],
-            }
-            for (motif, pred), row in sorted(
-                self.rows.items(), key=lambda kv: (-kv[1][3], kv[0])
-            )
-        }
 
     def table(self):
         """Render as an :class:`~repro.analysis.reporting.Table` (rows

@@ -72,7 +72,6 @@ class Machine:
         topology: Topology | str | None = None,
         seed: int = 0,
         startup_latency: float = 2.0,
-        per_hop_latency: float = 1.0,
         trace: bool = False,
         faults: FaultPlan | None = None,
         backend: str = "sequential",
@@ -114,7 +113,7 @@ class Machine:
             raise MachineError(
                 f"topology size {topo.size} != processor count {processors}"
             )
-        self.network = Network(topo, startup=startup_latency, per_hop=per_hop_latency)
+        self.network = Network(topo, startup=startup_latency)
         self.procs: list[VirtualProcessor] = [
             VirtualProcessor(number=i + 1) for i in range(processors)
         ]

@@ -16,7 +16,6 @@ from repro.errors import TopologyError
 __all__ = [
     "Topology",
     "FullyConnected",
-    "SharedMemory",
     "Ring",
     "Mesh2D",
     "Torus2D",
@@ -68,11 +67,6 @@ class FullyConnected(Topology):
 
     def _hops(self, a: int, b: int) -> int:
         return 1
-
-
-class SharedMemory(FullyConnected):
-    """Alias for a uniform one-hop interconnect; named for readability when
-    modelling the Argonne shared-memory machines."""
 
 
 class Ring(Topology):

@@ -147,9 +147,6 @@ class Trace:
     def of_kind(self, kind: str) -> list[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
 
-    def on_processor(self, proc: int) -> list[TraceEvent]:
-        return [e for e in self.events if e.proc == proc]
-
     def by_id(self) -> dict[int, TraceEvent]:
         """``eid -> event`` lookup (for walking cause chains)."""
         return {e.eid: e for e in self.events}

@@ -27,9 +27,9 @@ from repro.strand.lint import LintWarning, lint_program
 from repro.strand.stdlib import STDLIB_SOURCE, stdlib
 from repro.strand.foreign import ForeignProcedure, ForeignRegistry, from_python, to_python
 from repro.strand.parser import parse_program, parse_query, parse_rule, parse_term
-from repro.strand.pretty import format_goal, format_program, format_rule, format_term
+from repro.strand.pretty import format_program, format_rule, format_term
 from repro.strand.program import Procedure, Program, Rule
-from repro.strand.streams import PortRef, collect_stream, stream_items
+from repro.strand.streams import PortRef, stream_items
 from repro.strand.terms import (
     Atom,
     Cons,
@@ -40,10 +40,8 @@ from repro.strand.terms import (
     Var,
     deref,
     iter_list,
-    list_to_python,
     make_list,
     term_eq,
-    term_size,
     term_vars,
 )
 
@@ -57,10 +55,8 @@ __all__ = [
     "Var",
     "deref",
     "iter_list",
-    "list_to_python",
     "make_list",
     "term_eq",
-    "term_size",
     "term_vars",
     "Program",
     "Procedure",
@@ -71,7 +67,6 @@ __all__ = [
     "parse_term",
     "format_term",
     "format_rule",
-    "format_goal",
     "format_program",
     "StrandEngine",
     "Process",
@@ -90,6 +85,5 @@ __all__ = [
     "to_python",
     "from_python",
     "PortRef",
-    "collect_stream",
     "stream_items",
 ]

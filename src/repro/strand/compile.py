@@ -65,20 +65,7 @@ __all__ = [
     "CompiledProcedure",
     "CompiledProgram",
     "compile_program",
-    "COMPILE_STATS",
-    "reset_compile_stats",
 ]
-
-#: Process-wide compilation counters (observable by tests and benchmarks):
-#: ``programs`` counts full compilations, ``hits`` cache reuses, ``rules``
-#: total rules compiled.
-COMPILE_STATS = {"programs": 0, "hits": 0, "rules": 0}
-
-
-def reset_compile_stats() -> None:
-    for key in COMPILE_STATS:
-        COMPILE_STATS[key] = 0
-
 
 # ---------------------------------------------------------------------------
 # Runtime helpers of the generated rule functions
@@ -243,7 +230,6 @@ class CompiledRule:
     __slots__ = ("rule", "order", "commit", "source", "index_key")
 
     def __init__(self, rule: Rule, order: int, commit: Callable, source: str):
-        COMPILE_STATS["rules"] += 1
         self.rule = rule
         self.order = order  # textual position within the procedure
         self.commit = commit
@@ -346,7 +332,6 @@ class CompiledProgram:
     __slots__ = ("program", "procedures", "motif_of")
 
     def __init__(self, program: Program):
-        COMPILE_STATS["programs"] += 1
         self.program = program
         self.procedures: dict[tuple[str, int], CompiledProcedure] = {}
         # Provenance view: indicator -> motif tag of its first rule
@@ -372,7 +357,6 @@ def compile_program(program: Program) -> CompiledProgram:
     """Compile ``program`` (cached per program instance and version)."""
     cached = getattr(program, "_compiled_cache", None)
     if cached is not None and cached[0] == program.version:
-        COMPILE_STATS["hits"] += 1
         return cached[1]
     compiled = CompiledProgram(program)
     program._compiled_cache = (program.version, compiled)

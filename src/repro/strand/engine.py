@@ -148,16 +148,8 @@ class StrandEngine:
         self.profile = profile
         # Shard context when this engine runs inside a parallel-backend
         # worker (None in sequential operation and in the coordinating
-        # parent).  Engine options are kept so the parallel backend can
-        # reconstruct equivalent engines in worker processes.
+        # parent).
         self.shard = None
-        self._options = dict(
-            watched=tuple(sorted(self.watched)),
-            library=tuple(sorted(self.library)),
-            services=tuple(sorted(self.services)),
-            max_reductions=max_reductions,
-            abandon_stragglers=abandon_stragglers,
-        )
 
         self.compiled: CompiledProgram = compile_program(program)
         self.scheduler = Scheduler(self.machine, max_reductions)
@@ -181,9 +173,9 @@ class StrandEngine:
         (:meth:`Reducer.link`), and is classified by it — ``lib`` (library
         or user cost) and ``motif`` (provenance) — under three rules:
 
-        * a rule's body goal (``inherit``, the rule's ``lib`` and ``motif``):
-          a primitive inherits both, any other goal is classified by library
-          membership and its own tag;
+        * a rule's body goals are spawned by :meth:`spawn_body`, not here: a
+          primitive inherits the rule's ``lib`` and ``motif``, any other
+          goal is classified by library membership and its own tag;
         * a goal arriving by ``@`` or on the parallel wire (``inherit``, the
           sender's ``lib``): a primitive inherits the sender's lib flag, any
           other goal is classified by its indicator;

@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.strand.program import Program, Rule
 from repro.strand.terms import Atom, Cons, NIL, Struct, Term, Tup, Var, deref
 
-__all__ = ["format_term", "format_rule", "format_program", "format_goal"]
+__all__ = ["format_term", "format_rule", "format_program"]
 
 # Operators printed infix, with their precedence (higher binds tighter).
 _INFIX = {
@@ -135,10 +135,6 @@ def _format_list(term: Term, names: _VarNames) -> str:
     if term is NIL:
         return "[" + ", ".join(items) + "]"
     return "[" + ", ".join(items) + " | " + format_term(term, 0, names) + "]"
-
-
-def format_goal(goal: Term) -> str:
-    return format_term(goal)
 
 
 def format_rule(rule: Rule) -> str:

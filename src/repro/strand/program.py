@@ -166,12 +166,6 @@ class Program:
         proc.add(rule)
         self._version += 1
 
-    def add_procedure(self, proc: Procedure) -> None:
-        if proc.indicator in self._procs:
-            raise MotifError(f"procedure {_fmt(proc.indicator)} already defined")
-        self._procs[proc.indicator] = proc
-        self._version += 1
-
     # -- queries -----------------------------------------------------------
     def procedure(self, name: str, arity: int) -> Procedure | None:
         return self._procs.get((name, arity))

@@ -14,11 +14,9 @@ around and hand them to ``distribute``/``send_port``.
 
 from __future__ import annotations
 
-from typing import Any, Callable
-
 from repro.strand.terms import Cons, Term, Var, deref
 
-__all__ = ["PortRef", "collect_stream", "stream_items"]
+__all__ = ["PortRef", "stream_items"]
 
 
 class PortRef:
@@ -57,8 +55,3 @@ def stream_items(stream: Term) -> tuple[list[Term], Term]:
         t = deref(t.tail)
     return items, t
 
-
-def collect_stream(stream: Term, convert: Callable[[Term], Any] = lambda t: t) -> list:
-    """All items currently on a stream (open or closed), converted."""
-    items, _tail = stream_items(stream)
-    return [convert(i) for i in items]

@@ -30,17 +30,12 @@ __all__ = [
     "NIL",
     "Term",
     "deref",
-    "is_constant",
-    "is_list_term",
     "make_list",
-    "list_to_python",
     "iter_list",
     "term_eq",
     "copy_term",
     "rename_term",
     "term_vars",
-    "term_size",
-    "walk_terms",
 ]
 
 # A "term" is one of: Var, Atom, Struct, Tup, Cons, int, float, str.
@@ -225,11 +220,6 @@ def deref(term: Term) -> Term:
     return term
 
 
-def is_constant(term: Term) -> bool:
-    """True for atoms, numbers, and strings (after deref by the caller)."""
-    return isinstance(term, (Atom, int, float, str))
-
-
 def make_list(items: Iterable[Term], tail: Term = NIL) -> Term:
     """Build a Strand list term from a Python iterable."""
     result = tail
@@ -250,16 +240,6 @@ def iter_list(term: Term) -> Iterator[Term]:
         term = deref(term.tail)
     if term is not NIL:
         raise ValueError(f"improper or incomplete list (tail {term!r})")
-
-
-def list_to_python(term: Term, convert: Callable[[Term], Any] = lambda t: t) -> list:
-    """Convert a fully-formed Strand list into a Python list."""
-    return [convert(deref(item)) for item in iter_list(term)]
-
-
-def is_list_term(term: Term) -> bool:
-    """True if the (already dereffed) term is a cons cell or nil."""
-    return type(term) is Cons or term is NIL
 
 
 def term_eq(a: Term, b: Term) -> bool:
@@ -335,21 +315,6 @@ def term_vars(term: Term) -> list[Var]:
     return out
 
 
-def term_size(term: Term) -> int:
-    """Number of nodes in the term (a simple memory-footprint proxy)."""
-    size = 0
-    stack = [term]
-    while stack:
-        t = deref(stack.pop())
-        size += 1
-        if type(t) is Struct or type(t) is Tup:
-            stack.extend(t.args)
-        elif type(t) is Cons:
-            stack.append(t.tail)
-            stack.append(t.head)
-    return size
-
-
 # Rebuild markers for the iterative copier.  Real work-stack entries are
 # terms (never Python tuples), so a tuple on the stack is always a marker.
 _MARK_STRUCT = 0
@@ -361,7 +326,7 @@ def copy_term(term: Term, var_image: Callable[[Var], Term]) -> Term:
     """Structural copy with ``var_image`` supplying the image of every
     unbound variable reached (bound variables are dereferenced through).
 
-    Iterative like :func:`term_size`/:func:`walk_terms` — a recursive copy
+    Iterative like :func:`term_vars` — a recursive copy
     blows the interpreter stack around 20k cons cells, and list spines of
     that depth are ordinary data here (repro: ``rename_term(make_list(
     range(20000)))``).  Used by :func:`rename_term`; the reducer builds
@@ -431,15 +396,3 @@ def rename_term(term: Term, mapping: dict[int, Var] | None = None) -> Term:
 
     return copy_term(term, image)
 
-
-def walk_terms(term: Term) -> Iterator[Term]:
-    """Yield every sub-term (dereffed), pre-order, including ``term`` itself."""
-    stack = [term]
-    while stack:
-        t = deref(stack.pop())
-        yield t
-        if type(t) is Struct or type(t) is Tup:
-            stack.extend(reversed(t.args))
-        elif type(t) is Cons:
-            stack.append(t.tail)
-            stack.append(t.head)

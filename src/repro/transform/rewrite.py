@@ -9,7 +9,7 @@ the paper's "experiment with alternative motifs in a single application").
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.strand.program import Program, Rule
 from repro.strand.terms import Atom, Struct, Term, deref
@@ -22,7 +22,6 @@ __all__ = [
     "rewrite_body",
     "map_body_goals",
     "map_rules",
-    "body_calls",
 ]
 
 
@@ -111,8 +110,3 @@ def map_rules(
             out.add_rule(result)
     return out
 
-
-def body_calls(rule: Rule) -> Iterable[tuple[str, int]]:
-    """Indicators of every body goal (looking through placements)."""
-    for goal in rule.body:
-        yield goal_indicator(goal)

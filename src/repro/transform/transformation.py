@@ -13,11 +13,10 @@ transformations.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable
 
 from repro.strand.program import Program
 
-__all__ = ["Transformation", "Identity", "FunctionTransformation"]
+__all__ = ["Transformation", "Identity"]
 
 
 class Transformation(ABC):
@@ -44,14 +43,3 @@ class Identity(Transformation):
 
     def apply(self, program: Program) -> Program:
         return program.copy()
-
-
-class FunctionTransformation(Transformation):
-    """Wrap a plain function as a transformation."""
-
-    def __init__(self, fn: Callable[[Program], Program], name: str = "fn"):
-        self.fn = fn
-        self.name = name
-
-    def apply(self, program: Program) -> Program:
-        return self.fn(program.copy())

@@ -5,11 +5,8 @@ import pytest
 from repro.core import (
     RANDOM,
     TASK,
-    annotate,
     default_registry,
     get_motif,
-    is_pragma_goal,
-    pragma_name,
     reduce_tree,
 )
 from repro.core.api import as_application
@@ -17,7 +14,7 @@ from repro.core.registry import MotifRegistry
 from repro.errors import MotifError, ReproError
 from repro.strand.parser import parse_term
 from repro.strand.program import Program
-from repro.strand.terms import Struct
+from repro.transform.rewrite import strip_placement
 from repro.apps.arithmetic import (
     EVAL_SOURCE,
     eval_arith_node,
@@ -28,22 +25,20 @@ from repro.apps.trees import Leaf
 
 
 class TestPragmas:
-    def test_annotate(self):
-        goal = annotate(Struct("f", (1,)), RANDOM)
-        assert is_pragma_goal(goal)
-        assert is_pragma_goal(goal, RANDOM)
-        assert not is_pragma_goal(goal, TASK)
+    """A motif recognises its pragma as a placement onto the very atom
+    ``RANDOM`` or ``TASK`` (``strip_placement``, then an identity test)."""
 
     def test_plain_goal_not_pragma(self):
-        assert not is_pragma_goal(parse_term("f(X)"))
+        assert strip_placement(parse_term("f(X)"))[1] is None
 
     def test_numeric_placement_not_pragma(self):
-        assert not is_pragma_goal(parse_term("f(X) @ 3"))
-        assert pragma_name(parse_term("f(X) @ 3")) is None
+        _, where = strip_placement(parse_term("f(X) @ 3"))
+        assert where == 3
+        assert where is not RANDOM and where is not TASK
 
     def test_pragma_name(self):
-        assert pragma_name(parse_term("f(X) @ random")) == "random"
-        assert pragma_name(parse_term("f(X) @ task")) == "task"
+        assert strip_placement(parse_term("f(X) @ random"))[1] is RANDOM
+        assert strip_placement(parse_term("f(X) @ task"))[1] is TASK
 
 
 class TestRegistry:

@@ -6,23 +6,23 @@ from repro.core.motif import ComposedMotif, Motif
 from repro.errors import MotifError
 from repro.strand.foreign import ForeignRegistry
 from repro.strand.parser import parse_program
-from repro.transform.transformation import FunctionTransformation
+from repro.strand.program import Program, Rule
+from repro.strand.terms import Struct
+from repro.transform.transformation import Transformation
 
 
-def renaming(name):
+class Renaming(Transformation):
     """A transformation that tags every procedure by prefixing its name."""
 
-    def fn(program):
-        from repro.strand.program import Program, Rule
-        from repro.strand.terms import Struct
+    def __init__(self, name):
+        self.name = name
 
+    def apply(self, program):
         out = Program(name=program.name)
         for rule in program.rules():
-            head = Struct(f"{name}_{rule.head.functor}", rule.head.args)
+            head = Struct(f"{self.name}_{rule.head.functor}", rule.head.args)
             out.add_rule(Rule(head, rule.guards, rule.body))
         return out
-
-    return FunctionTransformation(fn, name)
 
 
 class TestApply:
@@ -33,7 +33,7 @@ class TestApply:
         assert ("user", 0) in applied.program
 
     def test_transformation_only(self):
-        motif = Motif("t", transformation=renaming("x"))
+        motif = Motif("t", transformation=Renaming("x"))
         applied = motif.apply(parse_program("user."))
         assert ("x_user", 0) in applied.program
         assert ("user", 0) not in applied.program
@@ -97,29 +97,29 @@ class TestApply:
 
 class TestCompose:
     def test_inner_applied_first(self):
-        inner = Motif("inner", transformation=renaming("i"))
-        outer = Motif("outer", transformation=renaming("o"))
+        inner = Motif("inner", transformation=Renaming("i"))
+        outer = Motif("outer", transformation=Renaming("o"))
         composed = outer.compose(inner)
         applied = composed.apply(parse_program("user."))
         assert ("o_i_user", 0) in applied.program
 
     def test_matmul_spelling(self):
-        inner = Motif("inner", transformation=renaming("i"))
-        outer = Motif("outer", transformation=renaming("o"))
+        inner = Motif("inner", transformation=Renaming("i"))
+        outer = Motif("outer", transformation=Renaming("o"))
         applied = (outer @ inner).apply(parse_program("user."))
         assert ("o_i_user", 0) in applied.program
 
     def test_outer_transformation_sees_inner_library(self):
         # The defining property: T2 applies to T1(A) ∪ L1.
         inner = Motif("inner", library="from_inner.")
-        outer = Motif("outer", transformation=renaming("o"))
+        outer = Motif("outer", transformation=Renaming("o"))
         applied = (outer @ inner).apply(parse_program("user."))
         assert ("o_from_inner", 0) in applied.program
 
     def test_composition_is_associative(self):
-        a = Motif("a", transformation=renaming("a"))
-        b = Motif("b", transformation=renaming("b"))
-        c = Motif("c", transformation=renaming("c"))
+        a = Motif("a", transformation=Renaming("a"))
+        b = Motif("b", transformation=Renaming("b"))
+        c = Motif("c", transformation=Renaming("c"))
         left = (c @ b) @ a
         right = c @ (b @ a)
         from repro.strand.pretty import format_program

@@ -4,15 +4,10 @@ motif composition twice parses and compiles each library exactly once)."""
 import pytest
 
 from repro.core.api import as_application
-from repro.core.motif import (
-    APPLY_CACHE_SIZE,
-    MOTIF_STATS,
-    library_from_source,
-    reset_motif_stats,
-)
+from repro.core.motif import APPLY_CACHE_SIZE, library_from_source
 from repro.apps.arithmetic import EVAL_SOURCE
 from repro.motifs.tree_reduce1 import tree_reduce_1
-from repro.strand.compile import COMPILE_STATS, compile_program, reset_compile_stats
+from repro.strand.compile import compile_program
 
 
 @pytest.fixture()
@@ -25,36 +20,27 @@ class TestThreeDeepComposition:
     def test_second_apply_is_a_pure_cache_hit(self, stack):
         application, _ = as_application(EVAL_SOURCE)
         first = stack.apply(application)
-        parses = MOTIF_STATS["library_parses"]
-        hits_before = MOTIF_STATS["apply_hits"]
         second = stack.apply(application)
         # Same transformed+linked program object; no re-parse, no re-link.
         assert second.program is first.program
-        assert MOTIF_STATS["library_parses"] == parses
-        assert MOTIF_STATS["apply_hits"] == hits_before + 1
         assert second.services == first.services
         assert second.user_names == first.user_names
 
     def test_each_library_compiles_exactly_once(self, stack):
-        reset_compile_stats()
         application, _ = as_application(EVAL_SOURCE)
         first = stack.apply(application)
         compiled = compile_program(first.program)
-        programs_after_first = COMPILE_STATS["programs"]
         second = stack.apply(application)
         assert compile_program(second.program) is compiled
-        assert COMPILE_STATS["programs"] == programs_after_first
-        assert COMPILE_STATS["hits"] >= 1
 
     def test_rebuilding_the_stack_reuses_parsed_libraries(self):
-        tree_reduce_1(termination=False)
-        parses = MOTIF_STATS["library_parses"]
-        hits = MOTIF_STATS["library_hits"]
-        tree_reduce_1(termination=False)
+        first = tree_reduce_1(termination=False).stages()
+        second = tree_reduce_1(termination=False).stages()
         # The second stack construction parses nothing new: every library
         # source is served from the (name, source)-keyed parse cache.
-        assert MOTIF_STATS["library_parses"] == parses
-        assert MOTIF_STATS["library_hits"] > hits
+        shared = [a.library is b.library for a, b in zip(first, second)
+                  if len(a.library)]
+        assert shared and all(shared)
 
     def test_forked_results_are_mutation_isolated(self, stack):
         application, _ = as_application(EVAL_SOURCE)
@@ -69,12 +55,11 @@ class TestThreeDeepComposition:
         assert "injected" not in second.user_names
 
     def test_application_mutation_invalidates(self, stack):
-        from repro.strand.parser import parse_program
+        from repro.strand.parser import parse_program, parse_rule
 
         application = parse_program(EVAL_SOURCE, name="mutable-app")
         first = stack.apply(application)
-        extra = parse_program("extra_proc.").procedure("extra_proc", 0)
-        application.add_procedure(extra)
+        application.add_rule(parse_rule("extra_proc."))
         second = stack.apply(application)
         assert second.program is not first.program
         assert ("extra_proc", 0) in second.program
@@ -84,20 +69,14 @@ class TestLibraryParseCache:
     def test_identical_source_shares_program(self):
         source = "lib_only_proc(X, Y) :- Y := X."
         first = library_from_source(source, name="cache-probe")
-        hits = MOTIF_STATS["library_hits"]
         second = library_from_source(source, name="cache-probe")
         assert second is first
-        assert MOTIF_STATS["library_hits"] == hits + 1
 
     def test_distinct_names_do_not_collide(self):
         source = "lib_only_proc2(X, Y) :- Y := X."
         first = library_from_source(source, name="probe-a")
         second = library_from_source(source, name="probe-b")
         assert first is not second
-
-    def test_reset_stats_roundtrip(self):
-        reset_motif_stats()
-        assert all(value == 0 for value in MOTIF_STATS.values())
 
 
 class TestBoundedApiCaches:
@@ -119,40 +98,35 @@ class TestBoundedApiCaches:
         from repro.apps.arithmetic import eval_arith_node, paper_example_tree
 
         tree = paper_example_tree()
-        api.reduce_tree(tree, eval_arith_node, processors=2, strategy="tr1")
+        first = api.reduce_tree(tree, eval_arith_node, processors=2, strategy="tr1")
         stack_hits = api._stack.cache_info().hits
         app_hits = api._empty_application.cache_info().hits
-        apply_hits = MOTIF_STATS["apply_hits"]
-        parses = MOTIF_STATS["library_parses"]
-        api.reduce_tree(tree, eval_arith_node, processors=2, strategy="tr1")
+        second = api.reduce_tree(tree, eval_arith_node, processors=2, strategy="tr1")
         assert api._stack.cache_info().hits == stack_hits + 1
         assert api._empty_application.cache_info().hits == app_hits + 1
-        assert MOTIF_STATS["apply_hits"] == apply_hits + 1
-        assert MOTIF_STATS["library_parses"] == parses
+        assert second.applied.program is first.applied.program
 
     def test_repeated_supervised_reduce_hits_the_caches(self):
         from repro.core import api
         from repro.apps.arithmetic import eval_arith_node, paper_example_tree
 
         tree = paper_example_tree()
-        api.supervised_reduce_tree(tree, eval_arith_node, processors=2)
+        first = api.supervised_reduce_tree(tree, eval_arith_node, processors=2)
         stack_hits = api._stack.cache_info().hits
-        apply_hits = MOTIF_STATS["apply_hits"]
-        api.supervised_reduce_tree(tree, eval_arith_node, processors=2)
+        second = api.supervised_reduce_tree(tree, eval_arith_node, processors=2)
         assert api._stack.cache_info().hits == stack_hits + 1
-        assert MOTIF_STATS["apply_hits"] == apply_hits + 1
+        assert second.applied.program is first.applied.program
 
     def test_repeated_reliable_reduce_hits_the_caches(self):
         from repro.core import api
         from repro.apps.arithmetic import eval_arith_node, paper_example_tree
 
         tree = paper_example_tree()
-        api.reliable_reduce_tree(tree, eval_arith_node, processors=2)
+        first = api.reliable_reduce_tree(tree, eval_arith_node, processors=2)
         stack_hits = api._stack.cache_info().hits
-        apply_hits = MOTIF_STATS["apply_hits"]
-        api.reliable_reduce_tree(tree, eval_arith_node, processors=2)
+        second = api.reliable_reduce_tree(tree, eval_arith_node, processors=2)
         assert api._stack.cache_info().hits == stack_hits + 1
-        assert MOTIF_STATS["apply_hits"] == apply_hits + 1
+        assert second.applied.program is first.applied.program
 
 
 class TestBoundedApplicationMemo:
@@ -175,6 +149,4 @@ class TestBoundedApplicationMemo:
             stack.apply(parse_program(EVAL_SOURCE, name=f"filler-{i}"))
             if i % 64 == 0:
                 stack.apply(kept)  # a hit moves it to the recent end
-        hits = MOTIF_STATS["apply_hits"]
         assert stack.apply(kept).program is first.program
-        assert MOTIF_STATS["apply_hits"] == hits + 1

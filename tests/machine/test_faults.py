@@ -201,7 +201,7 @@ class TestMachineReset:
             m.message_fate(2, 3, now=float(i))
         m.reset()
         assert m.partitions == cuts
-        assert not m.fault_stats.any_faults
+        assert m.fault_stats == FaultStats()
 
     def test_back_to_back_runs_replay_the_same_fate_sequence(self):
         plan = FaultPlan(drop_rate=0.3, delay_rate=0.1, duplicate_rate=0.2)
@@ -247,19 +247,12 @@ class TestDeadProcessorTimers:
 
 
 class TestFaultStats:
-    def test_clear_and_any_faults(self):
+    def test_clear(self):
         stats = FaultStats()
-        assert not stats.any_faults
         stats.crashes = 2
         stats.sup_retries = 5
-        assert stats.any_faults
         stats.clear()
-        assert stats.crashes == 0 and stats.sup_retries == 0
-        assert not stats.any_faults
-
-    def test_supervision_counters_alone_are_not_faults(self):
-        stats = FaultStats(sup_retries=3, sup_timeouts=2)
-        assert not stats.any_faults
+        assert stats == FaultStats()
 
 
 class TestTraceHygiene:

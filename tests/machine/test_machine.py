@@ -26,11 +26,6 @@ class TestNetwork:
         assert net.latency(1, 2) == 2.0 + 1.5
         assert net.latency(1, 5) == 2.0 + 4 * 1.5
 
-    def test_uniform_factory(self):
-        net = Network.uniform(4, latency=7.0)
-        assert net.latency(1, 3) == 7.0
-        assert net.latency(1, 1) == 0.0
-
 
 class TestMachine:
     def test_default_single_processor(self):
@@ -147,10 +142,6 @@ class TestMetrics:
         m = self.make()
         assert m.library_fraction == pytest.approx(0.25)
 
-    def test_speedup(self):
-        m = self.make()
-        assert m.speedup_against(30.0) == pytest.approx(3.0)
-
     def test_summary_mentions_key_figures(self):
         text = self.make().summary()
         assert "P=2" in text and "makespan=10.0" in text
@@ -168,7 +159,6 @@ class TestTrace:
         t.record(2.0, 2, "send", "q")
         assert len(t) == 2
         assert len(t.of_kind("reduce")) == 1
-        assert len(t.on_processor(2)) == 1
 
     def test_limit(self):
         t = Trace(enabled=True, limit=2)

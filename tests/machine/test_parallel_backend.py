@@ -416,6 +416,55 @@ class TestStragglers:
                 == processor_rows(seq_machine, self.FIELDS))
 
 
+class TestEngineOptions:
+    """The workers build their engines from the parent engine's own
+    option attributes, and each option shows on the parallel backend;
+    ``abandon_stragglers`` acts in the parent, which decides quiescence."""
+
+    SRC = """
+    go(Out, V) :- open_port(P, S), count(S, 0, Out), send_port(P, hi),
+        work(3, V) @ 2.
+    stuck(Out, V) :- go(Out, V), wait(_X) @ 2.
+    count([_ | In], N, Out) :- N1 := N + 1, count(In, N1, Out).
+    count([], N, Out) :- Out := N.
+    work(N, V) :- V := N * N.
+    wait(done).
+    """
+    OPTIONS = dict(watched=[("work", 2)], library=[("work", 2)],
+                   services=[("count", 3)])
+
+    def run(self, backend, query="go(Out, V)", **options):
+        machine = on_backend(backend, 2)
+        result = run_query(parse_program(self.SRC), query, machine=machine,
+                           **self.OPTIONS, **options)
+        return result, machine
+
+    def test_every_option_reaches_the_workers(self):
+        (seq, seq_machine), (par, par_machine) = (
+            self.run(backend) for backend in ("sequential", "parallel")
+        )
+        # services: a worker reports only count/3 suspended, so the port
+        # is closed and count/3 answers.
+        assert par.value("Out") == seq.value("Out") == 1
+        assert par.value("V") == 9
+        # watched: the same per-processor live-task peaks.
+        peaks = processor_rows(seq_machine, ("peak_live_tasks",))
+        assert peaks == [(0,), (1,)]
+        assert processor_rows(par_machine, ("peak_live_tasks",)) == peaks
+        # library: work/2 is charged as library cost.
+        assert seq_machine.library_cost > 0
+        assert par_machine.library_cost == seq_machine.library_cost
+        # abandon_stragglers: wait/1 is dropped instead of deadlocking.
+        for backend in ("sequential", "parallel"):
+            result, _ = self.run(backend, "stuck(Out, V)",
+                                 abandon_stragglers=True)
+            assert result.value("Out") == 1
+            assert result.metrics.processes_abandoned == 1
+        # max_reductions: a worker stops at the same budget.
+        with pytest.raises(StrandError, match="reduction budget of 3 exhausted"):
+            self.run("parallel", max_reductions=3)
+
+
 @contextmanager
 def live_thread():
     """Keep one background thread alive for the duration of the block."""

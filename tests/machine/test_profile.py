@@ -36,14 +36,14 @@ class TestBuckets:
         assert profile.by_motif() == {"m": [2, 1, 0, 3.0]}
         assert profile.total_busy == 3.0
 
-    def test_as_dict_sorts_by_busy_descending(self):
+    def test_table_sorts_by_busy_descending(self):
         profile = MotifProfile()
         profile.begin("m", ("cheap", 1))
         profile.reduction(1.0)
         profile.begin("m", ("dear", 1))
         profile.reduction(10.0)
-        keys = list(profile.as_dict())
-        assert keys == ["m:dear/1", "m:cheap/1"]
+        rows = [row[:2] for row in profile.table().rows]
+        assert rows == [["m", "dear/1"], ["m", "cheap/1"]]
 
 
 class TestAttribution:

@@ -10,7 +10,6 @@ from repro.machine.topology import (
     Hypercube,
     Mesh2D,
     Ring,
-    SharedMemory,
     topology_by_name,
 )
 
@@ -35,7 +34,9 @@ class TestBasics:
         assert topo.diameter == 1
 
     def test_shared_memory_alias(self):
-        assert SharedMemory(4).hops(1, 4) == 1
+        topo = topology_by_name("shared", 4)
+        assert type(topo) is FullyConnected
+        assert topo.hops(1, 4) == 1
 
     def test_ring_wraps(self):
         topo = Ring(8)

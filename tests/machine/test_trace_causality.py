@@ -2,8 +2,6 @@
 chains terminate at roots, and tracing never perturbs the computation —
 across fault-free, crash, partition, and duplicate runs."""
 
-import pytest
-
 from repro.apps.arithmetic import eval_arith_node, paper_example_tree
 from repro.core.api import (
     reduce_tree,

@@ -54,8 +54,8 @@ class TestRandTransformation:
         pattern = deref(dispatch.head.args[0])
         assert isinstance(pattern, Cons)
         assert deref(pattern.head).indicator == ("reduce", 2)
-        body_calls = [goal_indicator(g) for g in dispatch.body]
-        assert body_calls == [("reduce", 2), ("server", 1)]
+        calls = [goal_indicator(g) for g in dispatch.body]
+        assert calls == [("reduce", 2), ("server", 1)]
 
     def test_halt_and_eos_rules(self):
         out = RandTransformation().apply(parse_program(ANNOTATED))
@@ -141,8 +141,8 @@ class TestFigure5Staging:
         # server([reduce(T,V) | In], DT) :- reduce(T,V,DT), server(In,DT).
         pattern = deref(dispatch.head.args[0])
         assert deref(pattern.head).indicator == ("reduce", 2)
-        body_calls = [goal_indicator(g) for g in dispatch.body]
-        assert body_calls == [("reduce", 3), ("server", 2)]
+        calls = [goal_indicator(g) for g in dispatch.body]
+        assert calls == [("reduce", 3), ("server", 2)]
 
 
 class TestRandomComposition:

@@ -22,7 +22,6 @@ from repro.strand.terms import (
     Var,
     copy_term,
     deref,
-    list_to_python,
     make_list,
     rename_term,
     term_eq,
@@ -67,7 +66,7 @@ class TestDeepRename:
         term = deep_list(DEEP // 2, tail=Struct("t", (Var("Y"), deep_list(10))))
         out = copy_term(term, lambda v: Var(v.name))
         assert term_eq(out, term) is False  # fresh var != original var
-        assert list_to_python(deep_list(10)) == list(range(1, 11))
+        assert to_python(deep_list(10)) == list(range(1, 11))
 
 
 class _DeepMatchCases:
@@ -136,7 +135,7 @@ class TestDeepInstantiate:
         env = {id(xs): deep_list()}
         body = Struct("consume", (xs, Var("Out")))
         out = self.matcher.instantiate(body, env, {})
-        assert list_to_python(deref(out.args[0]))[:3] == [1, 2, 3]
+        assert to_python(deref(out.args[0]))[:3] == [1, 2, 3]
 
     def test_instantiate_fresh_at_depth(self):
         tail_var = Var("T")
@@ -153,13 +152,13 @@ class TestDeepInstantiateOracle(TestDeepInstantiate):
 
 class TestDeepConversions:
     def test_list_to_python_deep(self):
-        values = list_to_python(deep_list())
+        values = to_python(deep_list())
         assert len(values) == DEEP
         assert values[0] == 1 and values[-1] == DEEP
 
     def test_make_list_round_trip(self):
         data = list(range(DEEP))
-        assert list_to_python(make_list(data)) == data
+        assert to_python(make_list(data)) == data
 
     def test_to_python_struct_with_deep_list(self):
         # Structure arguments keep their term form; a long list argument

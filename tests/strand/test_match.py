@@ -4,8 +4,9 @@ Each class runs its cases on the compiled path the runtime executes; its
 ``…Oracle`` subclass runs the same cases on the reference matcher.
 """
 
+from repro.strand.foreign import to_python
 from repro.strand.parser import parse_program, parse_rule, parse_term
-from repro.strand.terms import NIL, Atom, Cons, Struct, Var, deref, list_to_python, make_list
+from repro.strand.terms import NIL, Atom, Cons, Struct, Var, deref, make_list
 from tests.strand.matchers import COMPILED, ORACLE
 from tests.strand.reference_match import MatchResult
 
@@ -283,7 +284,7 @@ class TestEdgeCases:
         assert m.status == MatchResult.MATCHED
         assert deref(m.env[id(xs[-1])]) == n - 1 and deref(m.env[id(tail)]) is NIL
         built = self.matcher.instantiate(Struct("q", (make_list(xs),)), m.env, {})
-        assert list_to_python(built.args[0]) == list(range(n))
+        assert to_python(built.args[0]) == list(range(n))
         hole = Var("Hole")
         short = make_list(range(n // 2), hole)
         m = self.matcher.match(head, Struct("p", (short,)))

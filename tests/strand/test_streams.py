@@ -1,6 +1,6 @@
 """Stream helper tests."""
 
-from repro.strand.streams import PortRef, collect_stream, stream_items
+from repro.strand.streams import PortRef, stream_items
 from repro.strand.terms import Atom, Cons, NIL, Var
 
 
@@ -24,12 +24,8 @@ class TestStreamItems:
         items, tail = stream_items(v)
         assert items == [Atom("a")]
 
-    def test_collect_with_convert(self):
-        s = Cons(1, Cons(2, NIL))
-        assert collect_stream(s, lambda t: t * 2) == [2, 4]
-
     def test_empty(self):
-        assert collect_stream(NIL) == []
+        assert stream_items(NIL) == ([], NIL)
 
 
 class TestPortRef:

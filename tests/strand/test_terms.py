@@ -13,16 +13,11 @@ from repro.strand.terms import (
     Tup,
     Var,
     deref,
-    is_constant,
-    is_list_term,
     iter_list,
-    list_to_python,
     make_list,
     rename_term,
     term_eq,
-    term_size,
     term_vars,
-    walk_terms,
 )
 
 
@@ -108,10 +103,6 @@ class TestLists:
     def test_make_list_empty(self):
         assert make_list([]) is NIL
 
-    def test_list_to_python_with_convert(self):
-        lst = make_list([1, 2])
-        assert list_to_python(lst, lambda t: t * 10) == [10, 20]
-
     def test_improper_list_raises(self):
         improper = Cons(1, 2)
         with pytest.raises(ValueError):
@@ -121,11 +112,6 @@ class TestLists:
         open_list = Cons(1, Var("T"))
         with pytest.raises(ValueError):
             list(iter_list(open_list))
-
-    def test_is_list_term(self):
-        assert is_list_term(NIL)
-        assert is_list_term(Cons(1, NIL))
-        assert not is_list_term(42)
 
 
 class TestTermEq:
@@ -201,23 +187,3 @@ class TestRename:
         x.bind(Struct("h", ()))
         r = rename_term(Struct("f", (x,)))
         assert term_eq(r, Struct("f", (Struct("h", ()),)))
-
-
-class TestSizeAndWalk:
-    def test_term_size(self):
-        assert term_size(1) == 1
-        assert term_size(Struct("f", (1, 2))) == 3
-        assert term_size(make_list([1, 2])) == 5  # 2 cons + 2 items + nil
-
-    def test_walk_visits_everything(self):
-        t = Struct("f", (Tup([1]), Cons(2, NIL)))
-        kinds = [type(x).__name__ for x in walk_terms(t)]
-        assert "Struct" in kinds and "Tup" in kinds and "Cons" in kinds
-
-    def test_is_constant(self):
-        assert is_constant(1)
-        assert is_constant(1.5)
-        assert is_constant("s")
-        assert is_constant(Atom("a"))
-        assert not is_constant(Var("X"))
-        assert not is_constant(Struct("f", ()))

@@ -217,66 +217,6 @@ class TestThreadArgument:
         assert format_program(out2) == format_program(out1)
 
 
-class TestPruneUnreachable:
-    def make(self):
-        return parse_program("""
-        main :- used.
-        used :- helper.
-        helper.
-        orphan :- also_orphan.
-        also_orphan.
-        reflective.
-        """)
-
-    def test_drops_unreachable(self):
-        from repro.transform.optimize import prune_unreachable
-
-        out = prune_unreachable(self.make(), entries=[("main", 0)])
-        assert ("main", 0) in out and ("helper", 0) in out
-        assert ("orphan", 0) not in out
-        assert ("also_orphan", 0) not in out
-
-    def test_keep_preserves_reflective_procs(self):
-        from repro.transform.optimize import prune_unreachable
-
-        out = prune_unreachable(self.make(), entries=[("main", 0)],
-                                keep=[("reflective", 0)])
-        assert ("reflective", 0) in out
-
-    def test_as_transformation_is_pure(self):
-        from repro.transform.optimize import PruneUnreachable
-
-        program = self.make()
-        PruneUnreachable(entries=[("main", 0)]).apply(program)
-        assert ("orphan", 0) in program  # input untouched
-
-    def test_pruned_composed_stack_still_runs(self):
-        from repro.apps.arithmetic import EVAL_SOURCE, paper_example_tree
-        from repro.apps.trees import tree_term
-        from repro.core.api import run_applied
-        from repro.core.motif import ComposedMotif
-        from repro.machine import Machine
-        from repro.motifs.random_map import rand_motif
-        from repro.motifs.server import server_motif
-        from repro.motifs.tree_reduce1 import tree1_motif
-        from repro.strand.terms import Struct as S, Var as V, deref
-        from repro.transform.optimize import prune_unreachable
-
-        motif = ComposedMotif([tree1_motif(), rand_motif(), server_motif()])
-        applied = motif.apply(parse_program(EVAL_SOURCE, name="eval"))
-        before = len(applied.program)
-        # server/2 is reached through the library's remote spawn; keep it.
-        applied.program = prune_unreachable(
-            applied.program, entries=[("create", 2)],
-        )
-        assert len(applied.program) <= before
-        value = V("Value")
-        goal = S("create", (3, S("reduce", (tree_term(paper_example_tree()),
-                                            value))))
-        run_applied(applied, goal, Machine(3, seed=1))
-        assert deref(value) == 24
-
-
 class TestSharedThreader:
     """Every argument-threading motif refuses an arity-shift collision
     with the same error, raised by ``thread_rules``."""
