@@ -218,11 +218,12 @@ def reduce_tree(
     * ``"sequential"`` — single-processor fold (baseline)
 
     ``backend="parallel"`` shards the virtual processors across ``workers``
-    OS processes (see :mod:`repro.machine.parallel`); evaluators must then
-    be Strand source or a :class:`Program` — Python callables cannot be
-    shipped to worker processes.  ``backend``/``workers``/``epoch_window``
-    are ignored when an explicit ``machine`` is passed (configure it there
-    instead).
+    OS processes (see :mod:`repro.machine.parallel`).  A Python evaluator
+    then reaches the workers by reference, so it must be a module-level
+    function such as :func:`repro.apps.arithmetic.eval_arith_node`; a
+    lambda or closure raises ``NotImplementedError``.
+    ``backend``/``workers``/``epoch_window`` are ignored when an explicit
+    ``machine`` is passed (configure it there instead).
     """
     if strategy not in TREE_STRATEGIES:
         raise ReproError(f"unknown strategy {strategy!r}; choose from {TREE_STRATEGIES}")

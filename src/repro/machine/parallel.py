@@ -97,6 +97,7 @@ Guarantees and limits
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import sys
 import threading
 import traceback
@@ -131,8 +132,8 @@ MAX_EPOCH_REDUCTIONS = 16 * EPOCH_REDUCTIONS
 #: ``VirtualProcessor`` counters a shard may charge to its replica of a
 #: processor it does not own (applying a remote binding charges the
 #: binder's processor); the rest of a record lives only on the owner.
-CROSS_SHARD_COUNTERS = ("sends", "hops", "remote_bindings", "spawns",
-                        "suspensions", "wakeups")
+CROSS_SHARD_COUNTERS = ("sends", "hops", "remote_bindings", "suspensions",
+                        "wakeups")
 
 
 def shard_of(proc: int, workers: int) -> int:
@@ -657,7 +658,7 @@ def run_parallel(engine) -> MachineMetrics:
         }
         try:
             pool.command(range(workers), "init", init_payloads)
-        except (TypeError, AttributeError, ImportError) as exc:
+        except (TypeError, AttributeError, ImportError, pickle.PicklingError) as exc:
             raise NotImplementedError(
                 "engine configuration cannot be shipped to parallel workers "
                 f"(not picklable): {exc}"

@@ -27,7 +27,6 @@ class VirtualProcessor:
     reductions: int = 0
     suspensions: int = 0
     wakeups: int = 0
-    spawns: int = 0
     sends: int = 0  # explicit messages (port sends, remote spawns)
     remote_bindings: int = 0  # cross-processor variable bindings
     hops: int = 0  # total hops of messages originated here

@@ -18,8 +18,7 @@ levels of parallel splitting, recursion stays local (``ldnc``).
 from __future__ import annotations
 
 from repro.core.motif import ComposedMotif, Motif
-from repro.motifs.random_map import random_motif
-from repro.motifs.termination import short_circuit_motif
+from repro.motifs.random_map import random_stack
 
 __all__ = ["DNC_LIBRARY", "dnc_motif", "dnc_stack"]
 
@@ -56,21 +55,13 @@ def dnc_stack(
     *,
     termination: bool = True,
     server_library: str = "ports",
-    foreign_combine: bool = True,
 ) -> ComposedMotif:
     """``Server ∘ Rand ∘ [ShortCircuit ∘] DnC``.
 
     With termination, the entry message is ``boot(P, R, Depth, Done)``;
-    without, ``dnc(P, R, Depth)``.  ``foreign_combine`` declares the user
-    procedures as foreign for the short-circuit sync analysis (set False
-    when they are Strand-defined — then they are threaded directly).
+    without, ``dnc(P, R, Depth)``.  The short circuit waits on the outputs
+    of the user's ``base/2`` and ``combine/3``, which the application
+    supplies as foreign procedures.
     """
-    core = dnc_motif()
-    if termination:
-        sync = (
-            {("combine", 3): 2, ("base", 2): 1}
-            if foreign_combine
-            else {}
-        )
-        core = short_circuit_motif(entry=("dnc", 3), sync_outputs=sync) @ core
-    return random_motif(server_library) @ core
+    return random_stack(dnc_motif(), ("dnc", 3), {("combine", 3): 2, ("base", 2): 1},
+                        termination=termination, server_library=server_library)

@@ -13,8 +13,7 @@ parameterized motif (reuse through modification, mechanized).
 from __future__ import annotations
 
 from repro.core.motif import ComposedMotif, Motif
-from repro.motifs.random_map import random_motif
-from repro.motifs.termination import short_circuit_motif
+from repro.motifs.random_map import random_stack
 
 __all__ = ["farm_library_source", "farm_motif", "farm_stack"]
 
@@ -50,9 +49,5 @@ def farm_stack(
     Entry message: ``boot(Xs, Ys, Done)`` with termination, else
     ``fmap(Xs, Ys)``.
     """
-    core = farm_motif(worker)
-    if termination:
-        core = short_circuit_motif(
-            entry=("fmap", 2), sync_outputs={(worker, 2): 1}
-        ) @ core
-    return random_motif(server_library) @ core
+    return random_stack(farm_motif(worker), ("fmap", 2), {(worker, 2): 1},
+                        termination=termination, server_library=server_library)

@@ -11,7 +11,9 @@ the ``@ random`` pragma:
    end-of-stream rule, a dialect addition that lets quiescence-closed
    servers terminate cleanly).
 
-``Random = Server ∘ Rand`` — exactly the paper's composition.
+``Random = Server ∘ Rand`` — exactly the paper's composition, and
+:func:`random_stack` puts it over a library motif, optionally with the
+short-circuit termination stage in between.
 """
 
 from __future__ import annotations
@@ -24,8 +26,15 @@ from repro.strand.terms import Atom, Cons, NIL, Struct, Term, Var, deref
 from repro.transform.rewrite import map_body_goals, strip_placement
 from repro.transform.transformation import Transformation
 from repro.motifs.server import server_motif
+from repro.motifs.termination import BOOT, short_circuit_motif
 
-__all__ = ["RandTransformation", "rand_motif", "random_motif", "dispatch_rule"]
+__all__ = [
+    "RandTransformation",
+    "rand_motif",
+    "random_motif",
+    "random_stack",
+    "dispatch_rule",
+]
 
 
 def dispatch_rule(name: str, arity: int) -> Rule:
@@ -96,8 +105,8 @@ class RandTransformation(Transformation):
             out.add_rule(dispatch_rule(name, arity))
         existing = out.procedure("server", 1)
         heads = {r.head.args[0] for r in existing.rules} if existing else set()
-        # halt and end-of-stream rules go last; skip if a motif lower in the
-        # stack (e.g. termination) already provided them.
+        # halt and end-of-stream rules go last; skip if the program already
+        # provides them.
         if not any(_is_halt_head(h) for h in heads):
             out.add_rule(_halt_rule())
         if not any(deref(h) is NIL for h in heads):
@@ -121,3 +130,29 @@ def random_motif(
 ) -> ComposedMotif:
     """``Random = Server ∘ Rand`` (paper §3.3)."""
     return server_motif(server_library) @ rand_motif(extra_entries)
+
+
+def random_stack(
+    core: Motif,
+    entry: tuple[str, int],
+    sync_outputs: dict[tuple[str, int], int],
+    *,
+    termination: bool,
+    server_library: str,
+) -> ComposedMotif:
+    """``Server ∘ Rand ∘ [ShortCircuit ∘] core``.
+
+    With ``termination`` the short circuit is threaded from ``entry`` (see
+    :class:`~repro.motifs.termination.ShortCircuit` for ``sync_outputs``)
+    and Rand dispatches the generated ``boot/k+1`` entry message; without
+    it the stack relies on engine quiescence and the entry message is
+    ``entry`` itself.
+    """
+    if not termination:
+        return random_motif(server_library) @ core
+    boot = ((BOOT, entry[1] + 1),)
+    return (
+        random_motif(server_library, extra_entries=boot)
+        @ short_circuit_motif(entry, sync_outputs)
+        @ core
+    )

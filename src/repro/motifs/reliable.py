@@ -400,7 +400,6 @@ def reliable_tree_reduce(
     supervise: bool = False,
     sup_retries: int = 3,
     sup_timeout: float = 600.0,
-    sup_backoff: int = 2,
     fallback: str = "0",
     server_library: str = "ports",
 ) -> ComposedMotif:
@@ -419,7 +418,7 @@ def reliable_tree_reduce(
     deadlock.
     """
     core = (
-        supervised_tree1(sup_retries, sup_timeout, sup_backoff, fallback)
+        supervised_tree1(sup_retries, sup_timeout, 2, fallback)
         if supervise
         else rand_motif() @ tree1_motif()
     )

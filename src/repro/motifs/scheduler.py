@@ -299,7 +299,5 @@ def scheduled_application(
     return (
         server_motif(server_library)
         @ scheduler_motif(task_outputs, hierarchical, dependencies)
-        @ short_circuit_motif(
-            entry=entry, sync_outputs=sync_outputs, add_server_rule=False
-        )
+        @ short_circuit_motif(entry, sync_outputs)
     )

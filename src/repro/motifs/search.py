@@ -16,8 +16,7 @@ that exploration stays local (or-parallelism with bounded task grain).
 from __future__ import annotations
 
 from repro.core.motif import ComposedMotif, Motif
-from repro.motifs.random_map import random_motif
-from repro.motifs.termination import short_circuit_motif
+from repro.motifs.random_map import random_stack
 
 __all__ = [
     "SEARCH_LIBRARY",
@@ -107,13 +106,9 @@ def collect_search_stack(
     else ``explore_all(Root, Sols, [], Depth)``; ``Sols`` closes to the
     full solution list.
     """
-    core = Motif(name="collect-search", library=COLLECT_LIBRARY)
-    if termination:
-        core = short_circuit_motif(
-            entry=("explore_all", 4),
-            sync_outputs={("expand", 2): 1, ("sol", 2): 1},
-        ) @ core
-    return random_motif(server_library) @ core
+    return random_stack(Motif(name="collect-search", library=COLLECT_LIBRARY),
+                        ("explore_all", 4), {("expand", 2): 1, ("sol", 2): 1},
+                        termination=termination, server_library=server_library)
 
 
 def search_stack(
@@ -126,10 +121,6 @@ def search_stack(
     Entry message: ``boot(Root, Count, Depth, Done)`` with termination,
     else ``explore(Root, Count, Depth)``.
     """
-    core = search_motif()
-    if termination:
-        core = short_circuit_motif(
-            entry=("explore", 3),
-            sync_outputs={("expand", 2): 1, ("sol", 2): 1},
-        ) @ core
-    return random_motif(server_library) @ core
+    return random_stack(search_motif(), ("explore", 3),
+                        {("expand", 2): 1, ("sol", 2): 1},
+                        termination=termination, server_library=server_library)

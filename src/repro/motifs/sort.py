@@ -15,8 +15,7 @@ levels, then falls back to ``sort_seq``.
 from __future__ import annotations
 
 from repro.core.motif import ComposedMotif, Motif
-from repro.motifs.random_map import random_motif
-from repro.motifs.termination import short_circuit_motif
+from repro.motifs.random_map import random_stack
 
 __all__ = ["SORT_LIBRARY", "sort_motif", "sort_stack"]
 
@@ -47,10 +46,6 @@ def sort_stack(
     Entry message: ``boot(Xs, Out, Depth, Done)`` with termination, else
     ``psort(Xs, Out, Depth)``.
     """
-    core = sort_motif()
-    if termination:
-        core = short_circuit_motif(
-            entry=("psort", 3),
-            sync_outputs={("merge_sorted", 3): 2, ("sort_seq", 2): 1},
-        ) @ core
-    return random_motif(server_library) @ core
+    return random_stack(sort_motif(), ("psort", 3),
+                        {("merge_sorted", 3): 2, ("sort_seq", 2): 1},
+                        termination=termination, server_library=server_library)

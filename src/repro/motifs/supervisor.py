@@ -78,13 +78,10 @@ __all__ = [
 
 SUP_RUN = "sup_run"
 
-#: Service procedures of the Supervise motif.  The supervisor loop is
-#: declared at both its own arity and the arity it gains when the Server
-#: motif threads ``DT`` through it (services are indicator sets, and arity
-#: shifts from outer motifs are part of normal composition).
-SUPERVISE_SERVICES: frozenset[tuple[str, int]] = frozenset(
-    {("supervisor", 2), ("supervisor", 3)}
-)
+#: Service procedures of the Supervise motif.  Attempts are dispatched with
+#: ``@ random``, so every runnable stack has a Server stage above, which
+#: threads ``DT`` through the supervisor loop: it runs as ``supervisor/3``.
+SUPERVISE_SERVICES: frozenset[tuple[str, int]] = frozenset({("supervisor", 3)})
 
 SUPERVISE_LIBRARY = """
 % Supervise library.  The monitor stream carries watch(Goal, K, Out,
@@ -109,7 +106,7 @@ sup_attempt(Goal, K, Out, Retries, Timeout) :-
     after(Timeout, Probe),
     sup_check(Probe, Goal, K, Out, Retries, Timeout).
 
-{spawn}
+sup_spawn(Copy) :- call(Copy) @ random.
 
 % First writer wins the probe; the second rule lets the timeout firing
 % release a relay whose value will never arrive (dead attempt), so no
@@ -181,10 +178,6 @@ SUPERVISE_PRIMITIVES = {
 def _register_primitives(registry: ForeignRegistry) -> None:
     registry.register_primitives(SUPERVISE_PRIMITIVES)
 
-
-#: Attempt-dispatch rule variants interpolated into the library.
-_SPAWN_RANDOM = "sup_spawn(Copy) :- call(Copy) @ random."
-_SPAWN_LOCAL = "sup_spawn(Copy) :- call(Copy)."
 
 TREE1_SUP_LIBRARY = """
 % Tree1 with supervised (instead of bare random) right-branch dispatch.
@@ -323,28 +316,17 @@ def supervise_motif(
     timeout: float = 40.0,
     backoff: int = 2,
     fallback: str = "0",
-    place: str = "random",
 ) -> Motif:
     """The Supervise motif.
 
-    ``place`` selects attempt dispatch: ``"random"`` (default) emits
-    ``call(Copy) @ random`` — requiring a Rand/Server stage above in the
-    stack — while ``"local"`` runs attempts on the supervisor's processor
-    (for standalone use).  ``fallback`` is Strand source text for the
-    degradation value.
+    Attempts are dispatched with ``call(Copy) @ random``, so the stack
+    needs a Rand and a Server stage above.  ``fallback`` is Strand source
+    text for the degradation value.
     """
-    if place == "random":
-        spawn = _SPAWN_RANDOM
-    elif place == "local":
-        spawn = _SPAWN_LOCAL
-    else:
-        raise ValueError(f"unknown placement {place!r}; use 'random' or 'local'")
     return Motif(
         name="supervise",
         transformation=SuperviseTransformation(outputs, entry, timeout),
-        library=SUPERVISE_LIBRARY.format(
-            spawn=spawn, backoff=backoff, fallback=fallback
-        ),
+        library=SUPERVISE_LIBRARY.format(backoff=backoff, fallback=fallback),
         services=SUPERVISE_SERVICES,
         foreign_setup=_register_primitives,
     )

@@ -26,8 +26,7 @@ Experiment E6 compares the two under uniform and non-uniform node costs.
 from __future__ import annotations
 
 from repro.core.motif import ComposedMotif, Motif
-from repro.motifs.random_map import random_motif
-from repro.motifs.termination import short_circuit_motif
+from repro.motifs.random_map import random_stack
 
 __all__ = [
     "TREE1_LIBRARY",
@@ -97,12 +96,8 @@ def tree_reduce_1(
     ``boot(Tree, Value)``; without it, rely on engine quiescence and the
     entry message is ``reduce(Tree, Value)``.
     """
-    core = tree1_motif()
-    if termination:
-        core = short_circuit_motif(
-            entry=("reduce", 2), sync_outputs={("eval", 4): 3}
-        ) @ core
-    return random_motif(server_library) @ core
+    return random_stack(tree1_motif(), ("reduce", 2), {("eval", 4): 3},
+                        termination=termination, server_library=server_library)
 
 
 def static_tree_motif() -> Motif:

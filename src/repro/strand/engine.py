@@ -200,10 +200,8 @@ class StrandEngine:
         scheduler = self.scheduler
         scheduler.seq += 1
         process = Process(goal, proc, ready, scheduler.seq, lib, target, motif)
-        vp = self.machine.procs[proc - 1]
-        vp.spawns += 1
         if watched:
-            vp.task_spawned()
+            self.machine.procs[proc - 1].task_spawned()
         scheduler.push(process)
         trace = self.machine.trace
         if trace.enabled:
@@ -256,7 +254,6 @@ class StrandEngine:
                                    motif=process.motif or "")
                 process.cause_evt = eid if eid else trace.cause
         scheduler.seq = seq
-        vp.spawns += len(goals)
 
     def spawn_remote(self, goal: Term, src: int, dst: int, now: float,
                      lib: bool = False) -> Process | None:

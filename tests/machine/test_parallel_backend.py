@@ -60,6 +60,11 @@ collect([], Out) :- Out := [].
 
 SERVICES = (("collect", 2),)
 
+# A lambda at module scope: pickle finds the module but no attribute named
+# ``<lambda>`` in it, so shipping it raises ``pickle.PicklingError`` (a
+# local lambda raises ``AttributeError`` instead).
+MODULE_LAMBDA = lambda op, lv, rv: lv + rv
+
 # One independent W-step arithmetic loop per virtual processor (three
 # reductions a step); the CRUNCH workload of the parallel-backend benchmark.
 CRUNCH = """
@@ -160,7 +165,7 @@ class TestCounterMerge:
     """The merged per-processor record takes the owning shard's replica
     whole and adds the cross-shard counters every shard may charge."""
 
-    FIELDS = ("sends", "hops", "remote_bindings", "spawns", "reductions")
+    FIELDS = ("sends", "hops", "remote_bindings", "reductions")
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_spread_rows_match_sequential(self, workers):
@@ -373,7 +378,7 @@ class TestStragglers:
     wait(done, Out) :- Out := yes.
     """
     FIELDS = ("clock", "busy", "reductions", "suspensions", "wakeups",
-              "spawns", "sends", "hops", "remote_bindings")
+              "sends", "hops", "remote_bindings")
 
     def test_abandon_matches_sequential(self):
         runs = []
@@ -570,14 +575,23 @@ class TestUnsupportedLayers:
                       profile=MotifProfile())
 
     def test_python_foreign_raises_not_implemented(self):
-        # Python-callable evaluators register closures in the foreign
-        # registry; closures cannot be shipped to worker processes.
+        # A Python evaluator is shipped to the workers by reference, so a
+        # local lambda or closure cannot reach them.
         from repro.apps.trees import balanced_tree
         from repro.core.api import reduce_tree
 
         tree = balanced_tree(2, lambda rng: "add", lambda rng: 1)
         with pytest.raises(NotImplementedError, match="not picklable"):
             reduce_tree(tree, lambda op, lv, rv: lv + rv,
+                        processors=4, backend="parallel", workers=2)
+
+    def test_module_level_lambda_raises_not_implemented(self):
+        from repro.apps.trees import balanced_tree
+        from repro.core.api import reduce_tree
+
+        tree = balanced_tree(2, lambda rng: "add", lambda rng: 1)
+        with pytest.raises(NotImplementedError, match="not picklable"):
+            reduce_tree(tree, MODULE_LAMBDA,
                         processors=4, backend="parallel", workers=2)
 
 

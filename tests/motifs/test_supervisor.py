@@ -1,21 +1,20 @@
-"""The Supervise motif: transformation errors, monitor threading,
-standalone (local-placement) supervision, and the full
-Server ∘ Rand ∘ Supervise ∘ Tree1′ stack under injected crashes."""
+"""The Supervise motif: transformation errors, monitor threading, and the
+full Server ∘ Rand ∘ Supervise ∘ Tree1′ stack under injected crashes."""
 
 import pytest
 
 from repro.apps.arithmetic import arithmetic_tree, eval_arith_node, paper_example_tree
-from repro.core.api import as_application, run_applied, supervised_reduce_tree
+from repro.core.api import supervised_reduce_tree
 from repro.errors import TransformError
 from repro.machine import FaultPlan, Machine
+from repro.motifs.reliable import reliable_tree_reduce
 from repro.motifs.supervisor import (
     SUPERVISE_SERVICES,
     SuperviseTransformation,
-    supervise_motif,
     supervised_tree_reduce,
 )
 from repro.strand.parser import parse_program
-from repro.strand.terms import Struct, Var, deref
+from repro.strand.terms import deref
 
 
 DOUBLER = """
@@ -79,36 +78,6 @@ class TestMonitorThreading:
         assert deref(goal.args[3]) == 2  # retries from the annotation
 
 
-class TestStandaloneLocalSupervision:
-    def run_doubler(self, machine, timeout=500.0):
-        motif = supervise_motif(
-            {("double", 2): 2}, entry=("main", 2),
-            timeout=timeout, fallback="none", place="local",
-        )
-        application, _ = as_application(DOUBLER)
-        applied = motif.apply(application)
-        out = Var("Out")
-        engine, metrics = run_applied(
-            applied, Struct("sup_run", (21, out)), machine
-        )
-        return deref(out), metrics
-
-    def test_supervised_call_completes_locally(self):
-        value, metrics = self.run_doubler(Machine(1))
-        assert value == 42
-        assert metrics.sup_retries == 0
-        assert metrics.sup_degraded == 0
-
-    def test_services_declared_for_quiescence(self):
-        assert ("supervisor", 2) in SUPERVISE_SERVICES
-        assert ("supervisor", 3) in SUPERVISE_SERVICES
-
-    def test_unknown_place_rejected(self):
-        with pytest.raises(ValueError):
-            supervise_motif({("double", 2): 2}, entry=("main", 2),
-                            place="elsewhere")
-
-
 class TestSupervisedTreeReduce:
     def test_paper_example_fault_free(self):
         result = supervised_reduce_tree(
@@ -163,6 +132,16 @@ class TestSupervisedTreeReduce:
         ]
         assert values.count(5781) == 18
         assert all(isinstance(value, int) for value in values)
+
+    def test_services_declared_for_quiescence(self):
+        # The Server stage threads DT through the supervisor loop, so the
+        # loop every stack runs is supervisor/3.
+        assert SUPERVISE_SERVICES == {("supervisor", 3)}
+        for stack in (supervised_tree_reduce(), reliable_tree_reduce(supervise=True)):
+            applied = stack.apply(parse_program(""))
+            assert [ind for ind in applied.program.indicators
+                    if ind[0] == "supervisor"] == [("supervisor", 3)]
+            assert ("supervisor", 3) in applied.services
 
     def test_motif_stack_shape(self):
         motif = supervised_tree_reduce()

@@ -2,9 +2,16 @@
 
 import pytest
 
-from repro.errors import TransformError
-from repro.motifs.termination import ShortCircuit
+from repro.errors import MotifError, TransformError
+from repro.motifs.dnc import dnc_stack
+from repro.motifs.farm import farm_stack
+from repro.motifs.search import collect_search_stack, search_stack
+from repro.motifs.sort import sort_stack
+from repro.motifs.termination import ShortCircuit, short_circuit_motif
+from repro.motifs.tree_reduce1 import tree_reduce_1
 from repro.strand.parser import parse_program
+from repro.strand.program import Program
+from repro.strand.terms import deref
 from repro.transform.rewrite import goal_indicator
 
 APP = """
@@ -16,10 +23,28 @@ reduce(leaf(X), Value) :- Value := X.
 """
 
 
+#: ``name -> (stack, entry arity)`` for every termination stack built by
+#: ``random_stack``.
+TERMINATION_STACKS = {
+    "tr1": (tree_reduce_1(), 2),
+    "farm": (farm_stack(), 2),
+    "dnc": (dnc_stack(), 3),
+    "search": (search_stack(), 3),
+    "collect-search": (collect_search_stack(), 4),
+    "sort": (sort_stack(), 3),
+}
+
+
 def transform(**kw):
     params = dict(entry=("reduce", 2), sync_outputs={("eval", 4): 3})
     params.update(kw)
     return ShortCircuit(**params).apply(parse_program(APP))
+
+
+def applied():
+    """The termination motif applied to APP: ``T(APP) ∪ L``."""
+    motif = short_circuit_motif(("reduce", 2), {("eval", 4): 3})
+    return motif.apply(parse_program(APP)).program
 
 
 class TestThreading:
@@ -83,27 +108,41 @@ class TestThreading:
             assert deref(right) is deref(left)
 
     def test_support_rules_added(self):
-        out = transform()
+        out = applied()
         assert ("boot", 3) in out  # entry arity 2 + Done
         assert ("watch", 1) in out
         assert ("wait_done", 3) in out
-        assert ("server", 1) in out
 
-    def test_server_rule_optional(self):
-        out = transform(add_server_rule=False)
-        assert ("server", 1) not in out
+    def test_support_rules_come_from_the_library(self):
+        library = short_circuit_motif(("reduce", 2)).library
+        assert library.indicators == [("watch", 1), ("wait_done", 3)]
+        assert ("watch", 1) not in transform()
+        assert ("wait_done", 3) not in transform()
+
+    def test_writes_no_server_rule(self):
+        assert ("server", 1) not in transform()
+        assert ("server", 1) not in applied()
+
+    @pytest.mark.parametrize("name", sorted(TERMINATION_STACKS))
+    def test_rand_stage_dispatches_boot(self, name):
+        stack, entry_arity = TERMINATION_STACKS[name]
+        stages = dict(zip((m.name for m in stack.stages()),
+                          stack.apply_staged(Program(name="application"))))
+        server = stages["rand"].program.procedure("server", 1)
+        messages = [deref(rule.head.args[0]).head for rule in server.rules[:-2]]
+        assert [deref(m).indicator for m in messages][-1] == ("boot", entry_arity + 1)
+        assert {rule.motif for rule in server.rules} == {"rand"}
 
     def test_watch_invokes_halt(self):
-        out = transform()
+        out = applied()
         watch = out.procedure("watch", 1).rules[0]
         assert [goal_indicator(g) for g in watch.body] == [("halt", 0)]
         assert len(watch.guards) == 1
 
-    def test_explicit_procs_subset(self):
-        out = ShortCircuit(entry=("reduce", 2), procs={("reduce", 2)}).apply(
-            parse_program(APP)
-        )
-        assert ("reduce", 4) in out
+    def test_user_watch_clashes_with_the_library(self):
+        app = parse_program(APP + "watch(X) :- X := seen.\n")
+        with pytest.raises(MotifError, match="watch/1"):
+            short_circuit_motif(("reduce", 2), {("eval", 4): 3}).apply(app)
 
     def test_missing_entry_rejected(self):
         with pytest.raises(TransformError):
