@@ -195,12 +195,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             makespan=result.metrics.makespan,
         )
         print(f"trace: wrote {count} events to {args.trace_out}")
-    if machine.trace.dropped:
-        print(
-            f"warning: trace truncated — {machine.trace.dropped} event(s) "
-            "dropped; raise --trace-limit or use --trace-ring",
-            file=sys.stderr,
-        )
+    dropped = machine.trace.dropped
+    if dropped and machine.trace.ring:
+        print(f"warning: trace ring kept the last {len(machine.trace)} events; "
+              f"{dropped} older event(s) evicted", file=sys.stderr)
+    elif dropped:
+        print(f"warning: trace truncated — {dropped} event(s) dropped; "
+              "raise --trace-limit or use --trace-ring", file=sys.stderr)
     return 0
 
 

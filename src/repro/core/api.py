@@ -233,7 +233,7 @@ def reduce_tree(
             topology=topology,
             seed=seed,
             backend=backend,
-            workers=workers if backend == "parallel" else None,
+            workers=workers,
             epoch_window=epoch_window,
         )
     if strategy == "tr1":

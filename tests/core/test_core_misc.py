@@ -11,7 +11,8 @@ from repro.core import (
 )
 from repro.core.api import as_application
 from repro.core.registry import MotifRegistry
-from repro.errors import MotifError, ReproError
+from repro.errors import MachineError, MotifError, ReproError
+from repro.machine import Machine
 from repro.strand.parser import parse_term
 from repro.strand.program import Program
 from repro.transform.rewrite import strip_placement
@@ -124,6 +125,13 @@ class TestReduceTree:
     def test_unknown_strategy(self):
         with pytest.raises(ReproError):
             reduce_tree(paper_example_tree(), eval_arith_node, strategy="bogus")
+
+    def test_workers_on_sequential_backend_refused_like_machine(self):
+        # reduce_tree passes workers= through, so it refuses what Machine refuses.
+        with pytest.raises(MachineError, match="workers="):
+            Machine(2, workers=2)
+        with pytest.raises(MachineError, match="workers="):
+            reduce_tree(paper_example_tree(), eval_arith_node, processors=2, workers=2)
 
     def test_metrics_populated(self):
         result = reduce_tree(paper_example_tree(), eval_arith_node,

@@ -182,6 +182,18 @@ class TestObservabilityFlags:
         assert len(trace) == 10
         assert trace.events[-1].eid > 10  # the tail, not the head
 
+    def test_trace_ring_warns_of_evictions_not_truncation(self, program_file,
+                                                           tmp_path, capsys):
+        out_file = tmp_path / "run.jsonl"
+        code = main(["run", str(program_file), "go(8, Sum)", "-P", "2",
+                     "--trace-out", str(out_file), "--trace-limit", "10",
+                     "--trace-ring"])
+        err = capsys.readouterr().err
+        assert code == 0
+        assert "trace ring kept the last 10 events" in err
+        assert "older event(s) evicted" in err
+        assert "--trace-ring" not in err and "truncated" not in err
+
 
 class TestTraceCommand:
     @pytest.fixture
