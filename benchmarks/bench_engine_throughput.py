@@ -4,8 +4,8 @@ Tracks the runtime's reductions-per-second on four canonical shapes —
 the Figure-1 rendezvous (suspension-heavy), the Eratosthenes sieve
 (process-chain-heavy), a multi-processor tree reduction (scheduler- and
 message-heavy), and a 64-way multi-rule dispatch loop (rule-selection-heavy,
-run indexed and as a copy that cannot be indexed) — so engine regressions
-show up in CI.
+run with its switch and as a copy that has nothing to switch on) — so
+engine regressions show up in CI.
 
 Run standalone with ``python benchmarks/bench_engine_throughput.py`` or
 under pytest with the rest of the benchmark suite.  Only the standalone run
@@ -55,7 +55,7 @@ def run_tree():
 
 # 64-way dispatch: every reduction of loop/2 must select among 64 rules
 # whose first arguments are distinct integer keys — the workload where
-# first-argument indexing pays and a linear rule scan is O(rules).
+# switching on an argument pays and a linear rule scan is O(rules).
 _DISPATCH_K = 64
 DISPATCH = parse_program(
     "\n".join(
@@ -69,14 +69,13 @@ DISPATCH = parse_program(
 )
 
 
-# The same loop with the key as the *second* argument: every loop/2 rule
-# has a variable first argument, so the procedure is not indexed and each
-# reduction scans the rules in order.  The terminating rule tests N in a
-# guard to keep its first argument a variable.
+# The same loop with the key tested by a guard: every loop/2 head is two
+# variables, so there is nothing to switch on and each reduction scans the
+# rules in order.  The terminating rule tests N in a guard too.
 UNINDEXED = parse_program(
     "\n".join(
-        f"loop(N, {i}) :- N > 0 | N1 := N - 1, K := N1 mod {_DISPATCH_K}, "
-        f"loop(N1, K)."
+        f"loop(N, K) :- K =:= {i}, N > 0 | N1 := N - 1, K1 := N1 mod {_DISPATCH_K}, "
+        f"loop(N1, K1)."
         for i in range(_DISPATCH_K)
     )
     + f"\ngo(N) :- K := N mod {_DISPATCH_K}, loop(N, K).",
@@ -161,8 +160,8 @@ def check_dispatch(payload):
 
 
 def test_dispatch_indexing_speedup(emit):
-    """First-argument indexing vs. the unindexed copy of the 64-way
-    dispatch loop."""
+    """The switch on the first argument vs. the unswitchable copy of the
+    64-way dispatch loop."""
     payload, table = dispatch_comparison()
     emit(table)
     check_dispatch(payload)

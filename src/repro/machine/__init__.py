@@ -24,7 +24,6 @@ from repro.machine.topology import (
     topology_by_name,
 )
 from repro.machine.gantt import render_gantt
-from repro.machine.parallel import run_parallel, shard_of
 from repro.machine.profile import MotifProfile
 from repro.machine.trace import Trace, TraceEvent
 from repro.machine.tracefile import (
@@ -54,8 +53,6 @@ __all__ = [
     "topology_by_name",
     "Trace",
     "render_gantt",
-    "run_parallel",
-    "shard_of",
     "TraceEvent",
     "TraceSink",
     "MotifProfile",

@@ -1,21 +1,52 @@
-"""Python source for compiled rules: one ``commit(args, blocked)`` function
-per rule, written by :class:`RuleWriter` and loaded by
+"""Python source for compiled procedures: one ``select(args, blocked)``
+function per procedure, written by :class:`ProcedureWriter` and loaded by
 :mod:`repro.strand.compile`.
 
-The function returns the tuple of the rule's instantiated body goals when
-the rule commits.  Otherwise it returns ``None`` and appends the blocking
-caller variables of an undecided head match or guard to ``blocked``; a
-definite failure appends nothing.  The rule's variables are Python locals:
+The function returns ``(rule, goals)`` for the first rule, in textual
+order, that commits: ``rule`` is the global ``r<order>`` (the compiled
+rule) and ``goals`` the tuple of its instantiated body goals.  Otherwise it
+returns ``None``, having appended the blocking caller variables of the
+undecided rules to ``blocked`` in the order a rule-by-rule scan meets them
+(a rule that definitely fails appends nothing; a variable may be appended
+more than once).  The code has three levels:
+
+* **the switch.**  The first argument whose head patterns tell the rules
+  apart is dereferenced once.  A consecutive run of rules whose pattern
+  there has one principal functor (and whose other head arguments are
+  plain first-occurrence variables) is entered by one test of that
+  functor, which unpacks the pattern's children once for the run; runs of
+  distinct functors form one ``if``/``elif`` chain (when it has
+  :data:`_TABLE` or more atomic keys, one table lookup and a binary search
+  find theirs).  Every other rule (a
+  variable at the switch argument, or other head arguments to test) sits
+  between the chains, once, and every goal reaches it.  An unbound switch
+  argument blocks the chained rules, so it is appended once, where the
+  first of them would append it, and those rules are skipped;
+* **groups.**  Consecutive rules whose heads are equal up to renaming
+  match the head once, with its variables as Python locals, then try
+  their guards in turn;
+* **rules.**  Each rule of a group tests its guards and builds its body.
+  An arithmetic operand that the comparison guards of several rules of a
+  group share is computed once, by the first of them, whose first guard
+  it must open: it is never computed earlier than that rule would compute
+  it.  Later rules reuse its value, or its ``ArithFail``, and append its
+  blocking variables where they would have evaluated it.
+
+A block of code that can fail or block leaves by ``return`` when nothing
+follows it in the function, and otherwise sits in a ``while True:`` that it
+leaves by ``break`` (:func:`_place`).  Within a group:
 
 * **head patterns** are straight-line type and identity tests, all at the
-  function's top level: a structure, tuple or list cell is one block that
+  group's top level: a structure, tuple or list cell is one block that
   unpacks its children into locals, matched after it; the children of a
   parent that blocked read ``_S`` and their tests pass over them.  A list
   pattern is walked by a cursor, one block per element; a run of
   ground elements is matched by one ``_mr`` call and a ground compound
-  subpattern by one ``_mv`` call.  A repeated variable is compared by
-  ``_mv`` where it occurs again; if its first occurrence is nested it
-  starts as ``None`` and the first occurrence the match reaches binds it;
+  subpattern by one ``_mv`` call.  A variable is the local its value is
+  read into (``a<i>`` for a head argument).  A repeated variable is
+  compared by ``_mv`` where it occurs again; if its first occurrence is
+  nested it starts as ``None`` and the first occurrence the match reaches
+  binds it;
 * **guards** are inline.  An arithmetic comparison evaluates its sides in
   ``eval_arith``'s order without building the expression term, calling
   :mod:`arith`'s operator functions (:data:`OPERATORS`), and leaves the
@@ -26,12 +57,12 @@ definite failure appends nothing.  The rule's variables are Python locals:
   created before the guards, body-only ones before the body.
 
 Besides :data:`OPERATORS`, ``Var``, ``Struct``, ``Tup``, ``Cons``, ``Atom``,
-``NIL``, ``ArithFail`` and the constants the writer names (through its
-``const`` callback), the code calls the runtime helpers the compile layer
-binds: ``_U`` (the unbound marker), ``_S`` (a skipped subpattern),
-``_mv`` (``_match_values``), ``_mr`` (``_match_run``), ``_pre``
-(``_prepend``), ``_ge`` (``terms._ground_equal``) and ``_ev``
-(``arith._eval``).
+``NIL``, ``ArithFail``, the rules ``r<order>`` and the constants the writer
+names (through its ``const`` callback), the code calls the runtime helpers
+the compile layer binds: ``_U`` (the unbound marker), ``_S`` (a skipped
+subpattern), ``_F`` (a shared operand that raised ``ArithFail``), ``_mv``
+(``_match_values``), ``_mr`` (``_match_run``), ``_pre`` (``_prepend``),
+``_ge`` (``terms._ground_equal``) and ``_ev`` (``arith._eval``).
 
 The writer walks terms with explicit stacks, never by recursion, and the
 code it writes never nests per list element or pattern level: long list
@@ -46,7 +77,7 @@ from repro.strand.arith import _BINARY, _UNARY, ARITH_FUNCTORS
 from repro.strand.program import Rule
 from repro.strand.terms import NIL, Atom, Cons, Struct, Term, Tup, Var, deref, term_vars
 
-__all__ = ["RuleWriter", "GUARD_TESTS", "OPERATORS"]
+__all__ = ["ProcedureWriter", "GUARD_TESTS", "OPERATORS"]
 
 
 #: Type-test guards: ``name -> test`` over the dereffed, bound operand
@@ -91,6 +122,123 @@ _RUN = 4
 #: Dereference a local in place.
 _DEREF = "while type({0}) is Var and {0}.ref is not _U: {0} = {0}.ref"
 
+#: The exit of a block that fails or blocks, until :func:`_place` puts it.
+_EXIT = "\x00"
+
+#: Fewest runs with atomic keys in one switch chain that are found by one
+#: table lookup and a binary search instead of one test each.
+_TABLE = 8
+
+#: Statements that cannot follow a block header on its line.
+_COMPOUND = ("if ", "elif ", "else", "while ", "try", "except", "def ")
+
+
+def _place(lines: list, at_end: bool) -> list:
+    """Resolve the exits of a block of ``(indent, line)`` code: ``return``
+    when nothing follows the block in the function, else ``break`` out of
+    a ``while True:`` put around it."""
+    if not any(_EXIT in line for _, line in lines):
+        return lines
+    if at_end:
+        return [(indent, line.replace(_EXIT, "return")) for indent, line in lines]
+    body = [(indent + 1, line.replace(_EXIT, "break")) for indent, line in lines]
+    indent, last = lines[-1]
+    if indent or not (last.startswith("return") or last == _EXIT):
+        body.append((1, "break"))
+    return [(0, "while True:"), *body]
+
+
+def _shift(lines: list, by: int) -> list:
+    return [(indent + by, line) for indent, line in lines]
+
+
+def _render(code: list) -> str:
+    """The text of ``(indent, line)`` code: a block of one simple statement
+    goes on its header's line, and an empty block gets ``pass``."""
+    text = []
+    i, n = 0, len(code)
+    while i < n:
+        indent, line = code[i]
+        if line.endswith(":"):
+            after = code[i + 1][0] if i + 1 < n else 0
+            if after <= indent:
+                text.append(f"{'    ' * indent}{line}\n{'    ' * (indent + 1)}pass\n")
+                i += 1
+                continue
+            only = code[i + 1][1]
+            if (not line.startswith("def ") and (i + 2 == n or code[i + 2][0] <= indent)
+                    and not only.endswith(":") and not only.startswith(_COMPOUND)):
+                text.append(f"{'    ' * indent}{line} {only}\n")
+                i += 2
+                continue
+        text.append(f"{'    ' * indent}{line}\n")
+        i += 1
+    return "".join(text)
+
+
+def _shape(term: Term, numbering: dict[int, int], arith: bool = False) -> tuple | None:
+    """A flat, hashable pre-order key of ``term`` with its variables
+    numbered by first occurrence in ``numbering`` (which grows): two heads
+    get equal keys exactly when they are equal up to renaming.  With
+    ``arith``, ``None`` unless ``term`` is an arithmetic expression over
+    numbers and variables ``numbering`` already has."""
+    out: list = []
+    stack = [term]
+    while stack:
+        t = deref(stack.pop())
+        tt = type(t)
+        if tt is Var:
+            n = numbering.get(id(t))
+            if n is None:
+                if arith:
+                    return None
+                n = numbering[id(t)] = len(numbering)
+            out.append(n)
+        elif tt is Struct:
+            if arith and (t.functor, len(t.args)) not in ARITH_FUNCTORS:
+                return None
+            out.append(("f", t.functor, len(t.args)))
+            stack.extend(reversed(t.args))
+        elif arith and not (tt is int or tt is float):
+            return None
+        elif tt is Tup:
+            out.append(("t", len(t.args)))
+            stack.extend(reversed(t.args))
+        elif tt is Cons:
+            out.append(("c",))
+            stack.append(t.tail)
+            stack.append(t.head)
+        else:
+            out.append(("k", tt, t))
+    return tuple(out)
+
+
+def _key(pattern: Term) -> tuple | None:
+    """The principal functor of a dereffed head pattern; ``None`` for a
+    variable.  Equal keys are the patterns one switch test admits (``1``
+    and ``1.0`` included)."""
+    tp = type(pattern)
+    if tp is Var:
+        return None
+    if tp is Cons:
+        return ("c",)
+    if tp is Tup:
+        return ("t", len(pattern.args))
+    if tp is Struct:
+        return ("f", pattern.functor, len(pattern.args))
+    if tp is int or tp is float:
+        return ("n", pattern)
+    return ("k", tp, pattern)
+
+
+def _children(pattern: Term) -> list:
+    tp = type(pattern)
+    if tp is Cons:
+        return [pattern.head, pattern.tail]
+    if tp is Struct or tp is Tup:
+        return list(pattern.args)
+    return []
+
 
 def _head_scan(args: list[Term]) -> tuple[dict, list]:
     """``id(node) -> ground?`` for every structure, tuple and list cell of
@@ -125,23 +273,203 @@ def _is_ground(term: Term, ground: dict[int, bool]) -> bool:
     return True
 
 
-class RuleWriter:
-    """Writes one rule's ``commit(args, blocked)`` function.
+class _Group:
+    """Consecutive rules whose heads are equal up to renaming: their
+    orders and each one's head-variable numbering."""
 
-    The head is matched by straight-line type and identity tests, with the
-    rule's variables as Python locals; guards follow; the body goals are
-    built with ``Struct``/``Cons``/``Tup`` calls and returned as a tuple.
-    Code is kept as ``(indent, line)`` pairs until the function is joined.
+    def __init__(self, order: int, shape: tuple, numbering: dict[int, int]):
+        self.shape = shape
+        self.orders = [order]
+        self.numberings = [numbering]
+
+
+class ProcedureWriter:
+    """Writes one procedure's ``select(args, blocked)`` function: the
+    switch over its groups (see the module docstring).  Temporaries and
+    locals are numbered across the whole function."""
+
+    def __init__(self, rules: list[Rule], arity: int, const: Callable[[Any], str]):
+        self.rules = rules
+        self.arity = arity
+        self.const = const
+        self.temps = 0
+        self.locals = 0
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps}"
+
+    def local(self, var: Var) -> str:
+        self.locals += 1
+        return f"{var.name if var.name.isidentifier() else 'V'}_{self.locals}"
+
+    def source(self, fn: str = "select") -> str:
+        groups: list[_Group] = []
+        for order, rule in enumerate(self.rules):
+            numbering: dict[int, int] = {}
+            shape = _shape(rule.head, numbering)
+            if groups and groups[-1].shape == shape:
+                groups[-1].orders.append(order)
+                groups[-1].numberings.append(numbering)
+            else:
+                groups.append(_Group(order, shape, numbering))
+        heads = [[deref(a) for a in rule.head.args] for rule in self.rules]
+        k = next((j for j in range(self.arity) if len({_key(h[j]) for h in heads}) > 1), None)
+        # Segments: a group every goal reaches, or a chain of runs
+        # ``(key, [groups])`` entered by switch tests.
+        segments: list = []
+        for group in groups:
+            key = None if k is None else self.switch_key(heads[group.orders[0]], k)
+            if key is None:
+                segments.append(group)
+                continue
+            chain = segments[-1] if segments and type(segments[-1]) is list else None
+            if chain is not None and chain[-1][0] == key:
+                chain[-1][1].append(group)
+            elif chain is not None and all(key != other for other, _ in chain):
+                chain.append((key, [group]))
+            else:
+                segments.append([(key, [group])])
+        code = [(0, f"def {fn}(args, blocked):")]
+        if self.arity:
+            names = ", ".join(f"a{i}" for i in range(self.arity))
+            code.append((1, f"{names}{',' if self.arity == 1 else ''} = args"))
+        chains = [i for i, segment in enumerate(segments) if type(segment) is list]
+        switch = f"a{k}" if chains else None
+        if switch:
+            code.append((1, _DEREF.format(switch)))
+        derefed = {switch}
+        for i, segment in enumerate(segments):
+            at_end = i == len(segments) - 1
+            if type(segment) is not list:
+                writer = _GroupWriter(self, segment, derefed)
+                code += _shift(writer.code(None, at_end), 1)
+                continue
+            branch = "if"
+            if i == chains[0]:
+                rest = at_end or any(type(s) is not list for s in segments[i + 1:])
+                code.append((1, f"if type({switch}) is Var: blocked.append({switch})"
+                                + ("" if rest else "; return")))
+                branch = "elif"
+            runs = [(heads[run[0].orders[0]][k], run) for _, run in segment]
+            # The runs of a chain exclude each other, so their order is free:
+            # many atomic keys are found by one table lookup.
+            table = [(pattern, run) for pattern, run in runs if _key(pattern)[0] in ("n", "k")]
+            if len(table) < _TABLE:
+                table = []
+            for pattern, run in runs:
+                if not any(run is other for _, other in table):
+                    code.append((1, f"{branch} {self.key_test(pattern, switch)}:"))
+                    code += _shift(self.run(run, k, pattern, switch, derefed, at_end), 2)
+                    branch = "elif"
+            if table:
+                n = self.temp()
+                index = self.const({pattern: j for j, (pattern, _) in enumerate(table)})
+                code += [(1, f"{branch} type({switch}) in _AT:"),
+                         (2, f"{n} = {index}.get({switch})"), (2, f"if {n} is None: pass")]
+                code += self.search(table, 0, len(table), n, k, switch, derefed, at_end, 2)
+        return _render(code)
+
+    def search(self, table: list, lo: int, hi: int, n: str, k: int, switch: str,
+               derefed: set, at_end: bool, indent: int, branch: str = "elif") -> list:
+        """A binary search over the table's runs by their index ``n``."""
+        if hi - lo == 1:
+            pattern, run = table[lo]
+            return _shift(self.run(run, k, pattern, switch, derefed, at_end), indent)
+        mid = (lo + hi) // 2
+        return [(indent, f"{branch} {n} < {mid}:"),
+                *self.search(table, lo, mid, n, k, switch, derefed, at_end, indent + 1, "if"),
+                (indent, "else:"),
+                *self.search(table, mid, hi, n, k, switch, derefed, at_end, indent + 1, "if")]
+
+    def switch_key(self, head: list[Term], k: int) -> tuple | None:
+        """The key of a chained rule; ``None`` when the rule is not chained:
+        a variable at ``k``, or another head argument that is not a plain
+        first occurrence of a variable (it must be tested, in order,
+        whether or not the switch argument is bound)."""
+        _, occurrences = _head_scan(head)
+        first: dict[int, int | None] = {}
+        for var, top in occurrences:
+            first.setdefault(id(var), top)
+        if any(j != k and (type(p) is not Var or first[id(p)] != j) for j, p in enumerate(head)):
+            return None
+        return _key(head[k])
+
+    def key_test(self, pattern: Term, x: str) -> str:
+        tp = type(pattern)
+        if tp is Cons:
+            return f"type({x}) is Cons"
+        if tp is Tup:
+            return f"type({x}) is Tup and len({x}.args) == {len(pattern.args)}"
+        if tp is Struct:
+            return (f"type({x}) is Struct and {x}.functor == {pattern.functor!r}"
+                    f" and len({x}.args) == {len(pattern.args)}")
+        k = self.const(pattern)
+        if tp is Atom:
+            return f"{x} is {k}"
+        if tp is str:
+            return f"type({x}) is str and {x} == {k}"
+        return f"(type({x}) is int or type({x}) is float) and {x} == {k}"
+
+    def run(self, groups: list[_Group], k: int, pattern: Term, switch: str,
+            derefed: set, at_end: bool) -> list:
+        """One run's branch: the children of the switch pattern, unpacked
+        once into locals named after the first group's, then each group."""
+        kids = [deref(kid) for kid in _children(pattern)]
+        writers = [_GroupWriter(self, group, derefed) for group in groups]
+        temps: list[str | None] = []
+        for j, kid in enumerate(kids):
+            if any(writer.needs(k, j) for writer in writers):
+                temps.append(self.local(kid) if type(kid) is Var else self.temp())
+            else:
+                temps.append(None)
+        code = []
+        if type(pattern) is Cons:
+            taken = [f"{t} = {switch}.{field}" for t, field in zip(temps, ("head", "tail")) if t]
+            if taken:
+                code.append((0, "; ".join(taken)))
+        elif any(temps):
+            targets = ", ".join(t or "_" for t in temps)
+            code.append((0, f"{targets}{',' if len(temps) == 1 else ''} = {switch}.args"))
+        for i, writer in enumerate(writers):
+            code += writer.code((k, temps), at_end and i == len(writers) - 1)
+        return code
+
+
+class _SharedOperand:
+    """An arithmetic operand several rules of a group compare: computed
+    once, into ``value`` (``_F`` when it raised ``ArithFail``), with its
+    blocking variables in the list ``blocked`` (``None`` when it has no
+    variables)."""
+
+    def __init__(self, term: Term, first: int, last: int):
+        self.term = term
+        self.first = first
+        self.last = last
+        self.value: str | None = None
+        self.blocked: str | None = None
+
+
+class _GroupWriter:
+    """Writes one group's code: the head match, then each rule's guards
+    and body build, with the group's variables as Python locals.  Code is
+    kept as ``(indent, line)`` pairs; exits are placed by :func:`_place`.
     """
 
-    def __init__(self, rule: Rule, const: Callable[[Any], str]):
-        self.rule = rule
-        self.const = const
+    def __init__(self, proc: ProcedureWriter, group: _Group, derefed: set):
+        self.proc = proc
+        self.const = proc.const
+        self.group = group
+        self.rules = [proc.rules[order] for order in group.orders]
+        self.derefed = derefed
+        #: Locals other code reads too: never reassigned, only dereffed.
+        self.fixed = {f"a{i}" for i in range(proc.arity)}
         self.lines: list[tuple[int, str]] = []
-        self.temps = 0
         self.names: dict[int, str] = {}
         self.blocks = False  # some emitted test can append to ``rb``
-        self.head_args = [deref(a) for a in rule.head.args]
+        self.raises = False  # some emitted guard code can raise ArithFail
+        self.rb = "rb"
+        self.head_args = [deref(a) for a in self.rules[0].head.args]
         self.ground, occurrences = _head_scan(self.head_args)
         self.count: dict[int, int] = {}
         self.first_arg: dict[int, int | None] = {}
@@ -154,31 +482,46 @@ class RuleWriter:
         self.dynamic = {id(var): var for var, _ in occurrences
                         if self.first_arg[id(var)] is None and self.count[id(var)] > 1}
         self.seen: set[int] = set()
-        self.guard_vars = [v for g in rule.guards for v in term_vars(g)
-                           if id(v) not in self.count]
-        self.used = {id(v) for t in (*rule.guards, *rule.body) for v in term_vars(t)}
+        # Each rule's head variables -> the first rule's.
+        by_number = {group.numberings[0][id(var)]: var for var, _ in occurrences}
+        self.alias = []
+        for rule, numbering in zip(self.rules, group.numberings):
+            self.alias.append({id(v): by_number[numbering[id(v)]] for v in term_vars(rule.head)})
+        self.used: set[int] = set()
+        for rule, alias in zip(self.rules, self.alias):
+            for term in (*rule.guards, *rule.body):
+                self.used.update(id(alias[id(v)]) for v in term_vars(term) if id(v) in alias)
+        self.shared = self.shared_operands()
+        self.numbering = group.numberings[0]  # the current rule's
 
     # -- small helpers -----------------------------------------------------
     def emit(self, indent: int, line: str) -> None:
         self.lines.append((indent, line))
 
     def temp(self) -> str:
-        self.temps += 1
-        return f"t{self.temps}"
+        return self.proc.temp()
 
     def local(self, var: Var) -> str:
         name = self.names.get(id(var))
         if name is None:
-            base = var.name if var.name.isidentifier() else "V"
-            name = self.names[id(var)] = f"{base}_{len(self.names)}"
+            name = self.names[id(var)] = self.proc.local(var)
         return name
+
+    def deref(self, indent: int, x: str) -> None:
+        if x not in self.derefed:
+            self.emit(indent, _DEREF.format(x))
+
+    def needs(self, k: int, j: int) -> bool:
+        """Whether the head reads child ``j`` of its pattern at ``k``."""
+        kid = deref(_children(self.head_args[k])[j])
+        return not (type(kid) is Var and self.count[id(kid)] == 1 and id(kid) not in self.used)
 
     def fail_unless(self, x: str, skip: bool) -> None:
         """The ``else`` branch of a failed test of ``x``: block on a
         variable, otherwise fail (unless the cursor was skipped)."""
         self.blocks = True
         self.emit(2, f"if type({x}) is Var: rb.append({x})")
-        self.emit(2, f"elif {x} is not _S: return None" if skip else "else: return None")
+        self.emit(2, f"elif {x} is not _S: {_EXIT}" if skip else f"else: {_EXIT}")
 
     def unpack(self, kid: Term, items: list) -> str | None:
         """The local a child pattern is read into: a variable occurring
@@ -192,24 +535,136 @@ class RuleWriter:
         items.append(("match", kid, t, True))
         return t
 
-    # -- head --------------------------------------------------------------
-    def head(self) -> list[str]:
-        """Emit the head match; return the unpacking targets of ``args``.
+    # -- the group ---------------------------------------------------------
+    def code(self, known: tuple | None, at_end: bool) -> list:
+        """The group's code.  ``known`` is ``(k, locals)`` when a switch
+        test admitted the pattern at ``k`` and unpacked its children into
+        ``locals``; ``at_end`` when nothing follows the group."""
+        self.head(known)
+        head, head_blocks = _shift(self.lines, -1), self.blocks
+        code = []
+        if self.dynamic:
+            code.append((0, f"{' = '.join(self.local(v) for v in self.dynamic.values())} = None"))
+        if head_blocks:
+            code += [(0, "rb = []"), *head, (0, f"if rb: blocked.extend(rb); {_EXIT}")]
+        else:
+            code += head
+        head_names = self.names
+        last = len(self.rules) - 1
+        for i, rule in enumerate(self.rules):
+            self.names = {vid: head_names[id(v)] for vid, v in self.alias[i].items()
+                          if id(v) in head_names}
+            self.numbering = self.group.numberings[i]
+            for operand in self.shared.values():
+                if operand.first == i:
+                    code += self.compute(operand)
+            section = self.rule(i, rule, reuse_rb=i == 0 and head_blocks)
+            code += section if i == last else _place(section, False)
+        return _place(code, at_end)
 
-        Every test sits at the function's top level: a compound pattern or
+    def shared_operands(self) -> dict[tuple, _SharedOperand]:
+        """The compound arithmetic operands of comparison guards that
+        several rules of the group share, keyed by shape, each with the
+        first rule that evaluates it; only an operand that opens that
+        rule's first guard qualifies."""
+        uses: dict[tuple, list] = {}
+        for i, (rule, numbering) in enumerate(zip(self.rules, self.group.numberings)):
+            for p, guard in enumerate(rule.guards):
+                guard = deref(guard)
+                if not (type(guard) is Struct and len(guard.args) == 2
+                        and guard.functor in _COMPARISON_OPS):
+                    continue
+                for side, operand in enumerate(guard.args):
+                    operand = deref(operand)
+                    if type(operand) is Struct:
+                        shape = _shape(operand, numbering, arith=True)
+                        if shape is not None:
+                            uses.setdefault(shape, []).append((i, p, side, operand))
+        return {
+            shape: _SharedOperand(where[0][3], where[0][0], where[-1][0])
+            for shape, where in uses.items()
+            if where[0][1:3] == (0, 0) and len({i for i, *_ in where}) > 1
+        }
+
+    def compute(self, operand: _SharedOperand) -> list:
+        """Compute a shared operand, as the first rule that reads it would."""
+        blocked = self.temp()
+        self.lines, self.rb = [], blocked
+        value, none = self.arith(operand.term, 1)
+        lines, self.rb = self.lines, "rb"
+        operand.value, operand.blocked = value, blocked if none else None
+        start = [(0, f"{blocked} = []")] if none else []
+        return [*start, (0, "try:"), *lines, (0, f"except ArithFail: {value} = _F")]
+
+    def rule(self, i: int, rule: Rule, reuse_rb: bool) -> list:
+        """One rule's guards and body build; its exits go to the next rule."""
+        self.lines, self.blocks, self.raises = [], False, False
+        alias = self.alias[i]
+        guard_vars = {id(v): v for g in rule.guards for v in term_vars(g) if id(v) not in alias}
+        failed = False
+        for g in rule.guards:
+            if not self.guard(g, 1):
+                self.emit(1, _EXIT)
+                failed = True
+                break
+        checks = self.lines
+        code = []
+        if self.blocks and not reuse_rb:
+            opening = self.opening(i, checks)
+            if opening is None:
+                code.append((0, "rb = []"))
+            else:
+                checks[1] = (1, opening)
+        code += [(0, f"{self.local(v)} = Var({v.name!r})") for v in guard_vars.values()]
+        if self.raises:
+            code += [(0, "try:"), *checks, (0, f"except ArithFail: {_EXIT}")]
+        else:
+            code += _shift(checks, -1)
+        if failed:
+            return code
+        if self.blocks:
+            code.append((0, f"if rb: blocked.extend(rb); {_EXIT}"))
+        bound = set(self.names)
+        for goal in rule.body:
+            for v in term_vars(goal):
+                if id(v) not in bound:
+                    bound.add(id(v))
+                    code.append((0, f"{self.local(v)} = Var({v.name!r})"))
+        self.lines = []
+        goals = [self.build(goal, 0) for goal in rule.body]
+        code += self.lines
+        order = self.group.orders[i]
+        code.append((0, f"return r{order}, ({', '.join(goals)}{',' if len(goals) == 1 else ''})"))
+        return code
+
+    # -- head --------------------------------------------------------------
+    def head(self, known: tuple | None) -> None:
+        """Emit the head match (at indent 1).
+
+        Every test sits at the group's top level: a compound pattern or
         list cell is one block that unpacks its children into locals, and
         the children are matched after it.  When a parent blocks, its
         children read ``_S`` and their tests pass over them.
         """
-        targets, work = [], []
+        work: list = []
         for i, p in enumerate(self.head_args):
-            key = id(p)
-            if type(p) is Var and self.first_arg[key] == i:
-                # A first occurrence no match can skip: unpack straight into it.
-                self.seen.add(key)
-                targets.append(self.local(p) if self.count[key] > 1 or key in self.used else "_")
+            if known is not None and i == known[0]:
+                # The switch test admitted this pattern and unpacked its children.
+                for kid, t in zip(_children(p), known[1]):
+                    kid = deref(kid)
+                    if type(kid) is Var and self.count[id(kid)] == 1:
+                        self.seen.add(id(kid))
+                        if id(kid) in self.used:
+                            self.names[id(kid)] = t
+                    else:
+                        work.append(("match", kid, t, False))
+                self.fixed.update(t for t in known[1] if t)
                 continue
-            targets.append(f"a{i}")
+            if type(p) is Var and self.first_arg[id(p)] == i:
+                # A first occurrence no match can skip: the argument itself.
+                self.seen.add(id(p))
+                self.names[id(p)] = f"a{i}"
+                continue
             work.append(("match", p, f"a{i}", False))
         work.reverse()
         while work:
@@ -227,20 +682,22 @@ class RuleWriter:
                 work.extend(reversed(self.match_list(p, x, skip)))
             else:
                 work.extend(reversed(self.match_compound(p, x, skip)))
-        return targets
 
     def match_var(self, var: Var, x: str, skip: bool) -> None:
         key = id(var)
-        name = self.local(var)
         if key not in self.seen:
             self.seen.add(key)
-            if self.count[key] == 1 and key not in self.used:
+            if self.count[key] == 1:
+                if key in self.used:
+                    self.names[key] = x  # nothing reassigns ``x`` after this
                 return
+            name = self.local(var)
             if skip and key in self.dynamic:
                 self.emit(1, f"if {x} is not _S: {name} = {x}")
             else:
                 self.emit(1, f"{name} = {x}")
             return
+        name = self.local(var)
         self.blocks = True
         if key in self.dynamic:
             branch = "if"
@@ -248,11 +705,11 @@ class RuleWriter:
                 self.emit(1, f"if {x} is _S: pass")
                 branch = "elif"
             self.emit(1, f"{branch} {name} is None: {name} = {x}")
-            self.emit(1, f"elif not _mv({name}, {x}, rb): return None")
+            self.emit(1, f"elif not _mv({name}, {x}, rb): {_EXIT}")
         else:
             test = f"not _mv({name}, {x}, rb)"
-            self.emit(1, f"if {x} is not _S and {test}: return None" if skip
-                      else f"if {test}: return None")
+            self.emit(1, f"if {x} is not _S and {test}: {_EXIT}" if skip
+                      else f"if {test}: {_EXIT}")
 
     def match_ground(self, p: Term, x: str, skip: bool) -> None:
         tp = type(p)
@@ -260,10 +717,10 @@ class RuleWriter:
         if tp is Struct or tp is Tup or tp is Cons:
             self.blocks = True
             test = f"not _mv({k}, {x}, rb)"
-            self.emit(1, f"if {x} is not _S and {test}: return None" if skip
-                      else f"if {test}: return None")
+            self.emit(1, f"if {x} is not _S and {test}: {_EXIT}" if skip
+                      else f"if {test}: {_EXIT}")
             return
-        self.emit(1, _DEREF.format(x))
+        self.deref(1, x)
         if tp is Atom:
             self.emit(1, f"if {x} is not {k}:")
         elif tp is str:
@@ -284,7 +741,7 @@ class RuleWriter:
         targets = [self.unpack(deref(kid), items) for kid in p.args]
         temps = [item[2] for item in items]
         unpacked = ", ".join(t or "_" for t in targets)
-        self.emit(1, _DEREF.format(x))
+        self.deref(1, x)
         self.emit(1, f"if {test}: {unpacked}{',' if n == 1 else ''} = {x}.args")
         self.emit(1, "else:")
         if temps:
@@ -293,10 +750,11 @@ class RuleWriter:
         return items
 
     def match_list(self, p: Cons, x: str, skip: bool) -> list:
-        """A list pattern with variables inside, walked by a cursor ``x``:
-        one block per element, one ``_match_run`` per run of ground
-        elements, and one ``_match_values`` for a ground suffix.  A cursor
-        whose spine blocked becomes ``_S``."""
+        """A list pattern with variables inside, walked by a cursor: one
+        block per element, one ``_match_run`` per run of ground elements,
+        and one ``_match_values`` for a ground suffix.  A cursor whose
+        spine blocked becomes ``_S``.  The cursor is ``x`` itself unless
+        other code reads ``x`` too."""
         cells = []
         while type(p) is Cons:
             cells.append(p)
@@ -308,6 +766,7 @@ class RuleWriter:
         if _is_ground(tail, self.ground):
             while j and ground[j - 1]:
                 j -= 1
+        src, cur = x, (self.temp() if x in self.fixed else x)
         items: list = []
         i = 0
         while i < j:
@@ -316,30 +775,31 @@ class RuleWriter:
                 k += 1
             if k - i >= _RUN:
                 run = self.const(tuple(heads[i:k]))
-                items.append(("line", 1, f"{x} = _mr({run}, {x}, rb)"))
-                items.append(("line", 1, f"if {x} is None: return None"))
-                self.blocks, skip, i = True, True, k
+                items.append(("line", 1, f"{cur} = _mr({run}, {src}, rb)"))
+                items.append(("line", 1, f"if {cur} is None: {_EXIT}"))
+                self.blocks, skip, i, src = True, True, k, cur
                 continue
             kid: list = []
             h = self.unpack(heads[i], kid)
-            take = f"{h} = {x}.head; {x} = {x}.tail" if h else f"{x} = {x}.tail"
-            items += [("line", 1, _DEREF.format(x)),
-                      ("line", 1, f"if type({x}) is Cons: {take}"),
+            take = f"{h} = {src}.head; {cur} = {src}.tail" if h else f"{cur} = {src}.tail"
+            if src not in self.derefed:
+                items.append(("line", 1, _DEREF.format(src)))
+            items += [("line", 1, f"if type({src}) is Cons: {take}"),
                       ("line", 1, "else:")]
             if kid:
                 items.append(("line", 2, f"{h} = _S"))
             items += [
-                ("line", 2, f"if type({x}) is Var: rb.append({x}); {x} = _S"),
-                ("line", 2, f"elif {x} is not _S: return None" if skip else "else: return None"),
+                ("line", 2, f"if type({src}) is Var: rb.append({src}); {cur} = _S"),
+                ("line", 2, f"elif {src} is not _S: {_EXIT}" if skip else f"else: {_EXIT}"),
                 *kid,
             ]
-            self.blocks, skip, i = True, True, i + 1
+            self.blocks, skip, i, src = True, True, i + 1, cur
         if j < n:
-            test = f"not _mv({self.const(cells[j])}, {x}, rb)"
-            items.append(("line", 1, f"if {x} is not _S and {test}: return None" if skip
-                          else f"if {test}: return None"))
+            test = f"not _mv({self.const(cells[j])}, {src}, rb)"
+            items.append(("line", 1, f"if {src} is not _S and {test}: {_EXIT}" if skip
+                          else f"if {test}: {_EXIT}"))
         else:
-            items.append(("match", tail, x, skip))
+            items.append(("match", tail, src, skip))
         return items
 
     # -- guards ------------------------------------------------------------
@@ -358,7 +818,7 @@ class RuleWriter:
             lhs, rhs = self.build(g.args[0], d), self.build(g.args[1], d)
             decided, equal = self.temp(), self.temp()
             self.emit(d, f"{decided}, {equal} = _ge({lhs}, {rhs}, rb)")
-            self.emit(d, f"if {decided} and {'not ' if name == '==' else ''}{equal}: return None")
+            self.emit(d, f"if {decided} and {'not ' if name == '==' else ''}{equal}: {_EXIT}")
             self.blocks = True
             return True
         if arity == 1 and (name in _TYPE_TESTS or name == "known"):
@@ -371,16 +831,16 @@ class RuleWriter:
             self.emit(d, _DEREF.format(t))
             self.emit(d, f"if type({t}) is Var: rb.append({t})")
             if name != "known":
-                self.emit(d, f"elif not ({_TYPE_TESTS[name].format(t)}): return None")
+                self.emit(d, f"elif not ({_TYPE_TESTS[name].format(t)}): {_EXIT}")
             self.blocks = True
             return True
         return False
 
     def compare(self, op: str, lhs: Term, rhs: Term, d: int) -> None:
         """``lhs op rhs``: a blocked left side leaves the right one unread."""
-        left, left_none = self.arith(lhs, d)
+        left, left_none = self.operand(lhs, d)
         mark = len(self.lines)
-        right, right_none = self.arith(rhs, d)
+        right, right_none = self.operand(rhs, d)
         checks = []
         if left_none:
             if len(self.lines) > mark:
@@ -393,13 +853,38 @@ class RuleWriter:
         if right_none:
             checks.append(f"{right} is not None")
         checks.append(f"not ({left} {op} {right})")
-        self.emit(d, f"if {' and '.join(checks)}: return None")
+        self.emit(d, f"if {' and '.join(checks)}: {_EXIT}")
+
+    def opening(self, i: int, checks: list) -> str | None:
+        """When rule ``i``'s guards open by reading a shared operand that
+        can block, its ``rb`` starts as the operand's blocking variables:
+        a copy, or the list itself for the last rule that reads it."""
+        if len(checks) < 2 or not checks[1][1].startswith("rb += "):
+            return None
+        blocked = checks[1][1][len("rb += "):]
+        shared = next(s for s in self.shared.values() if s.blocked == blocked)
+        return f"rb = {blocked}" if shared.last == i else f"rb = {blocked}[:]"
+
+    def operand(self, term: Term, d: int) -> tuple[str, bool]:
+        """A comparison operand: a shared one is read where this rule
+        would evaluate it (its ``ArithFail`` fails the rule, its blocking
+        variables are appended); any other is evaluated (:meth:`arith`)."""
+        term = deref(term)
+        if type(term) is Struct and self.shared:
+            shared = self.shared.get(_shape(term, self.numbering, arith=True))
+            if shared is not None and shared.value is not None:
+                self.emit(d, f"if {shared.value} is _F: {_EXIT}")
+                if shared.blocked:
+                    self.emit(d, f"rb += {shared.blocked}")
+                    self.blocks = True
+                return shared.value, shared.blocked is not None
+        return self.arith(term, d)
 
     def arith(self, term: Term, d: int) -> tuple[str, bool]:
         """Emit the evaluation of one arithmetic operand in ``eval_arith``'s
         order (left to right, each operator applied once both its operands
         are known); return the value's expression and whether it can be
-        ``None`` (a variable blocked and was appended to ``rb``)."""
+        ``None`` (a variable blocked and was appended to ``self.rb``)."""
         out: list[tuple[str, bool]] = []
         work: list = [(False, term)]
         while work:
@@ -414,6 +899,7 @@ class RuleWriter:
                 v = self.temp()
                 self.emit(d, f"{v} = {expr} if {' and '.join(checks)} else None" if checks
                           else f"{v} = {expr}")
+                self.raises = True
                 out.append((v, bool(checks)))
                 continue
             t = deref(t)
@@ -424,8 +910,8 @@ class RuleWriter:
                 v = self.temp()
                 self.emit(d, f"{v} = {self.local(t)}")
                 self.emit(d, _DEREF.format(v))
-                self.emit(d, f"if type({v}) is not int: {v} = _ev({v}, rb)")
-                self.blocks = True
+                self.emit(d, f"if type({v}) is not int: {v} = _ev({v}, {self.rb})")
+                self.blocks = self.raises = True
                 out.append((v, True))
             elif tt is Struct and (t.functor, len(t.args)) in ARITH_FUNCTORS:
                 work.append((True, t))
@@ -433,7 +919,7 @@ class RuleWriter:
             else:
                 # Not arithmetic: evaluation fails here (ArithFail); what
                 # follows is never reached.
-                self.emit(d, "return None")
+                self.emit(d, _EXIT)
                 out.append(("0", False))
         return out[0]
 
@@ -514,58 +1000,3 @@ class RuleWriter:
                 expr, height = f"Cons({heads[i][0]}, {expr})", 1 + max(height, heads[i][1])
             expr, height, _ = self.spill(expr, height, d)
         return expr, height, False
-
-    # -- the function ------------------------------------------------------
-    def source(self, fn: str) -> str:
-        rule = self.rule
-        code = [(0, f"def {fn}(args, blocked):")]
-        arity = len(self.head_args)
-        targets = self.head()
-        head, self.lines = self.lines, []
-        if arity:
-            code.append((1, f"{', '.join(targets)}{',' if arity == 1 else ''} = args"))
-        if self.dynamic:
-            names = " = ".join(self.local(v) for v in self.dynamic.values())
-            code.append((1, f"{names} = None"))
-        head_blocks, self.blocks = self.blocks, False
-        if head_blocks:
-            code += [(1, "rb = []"), *head, (1, "if rb: blocked.extend(rb); return None")]
-        else:
-            code += head
-        guards = [deref(g) for g in rule.guards]
-        arith = any(type(g) is Struct and len(g.args) == 2 and g.functor in _COMPARISON_OPS
-                    for g in guards)
-        d = 2 if arith else 1
-        failed = False
-        for g in guards:
-            if not self.guard(g, d):
-                self.emit(d, "return None")
-                failed = True
-                break
-        checks, self.lines = self.lines, []
-        if self.blocks and not head_blocks:
-            code.append((1, "rb = []"))
-        code += [(1, f"{self.local(v)} = Var({v.name!r})")
-                 for v in {id(v): v for v in self.guard_vars}.values()]
-        if arith:
-            code += [(1, "try:"), *checks, (1, "except ArithFail: return None")]
-        else:
-            code += checks
-        if not failed:
-            if self.blocks:
-                code.append((1, "if rb: blocked.extend(rb); return None"))
-            bound = set(self.names)
-            for goal in rule.body:
-                for v in term_vars(goal):
-                    if id(v) not in bound:
-                        bound.add(id(v))
-                        code.append((1, f"{self.local(v)} = Var({v.name!r})"))
-            goals = [self.build(goal, 1) for goal in rule.body]
-            code += self.lines
-            code.append((1, f"return ({', '.join(goals)}{',' if len(goals) == 1 else ''})"))
-        text = []
-        for (indent, line), (after, _) in zip(code, code[1:] + [(0, "")]):
-            text.append(f"{'    ' * indent}{line}\n")
-            if line.endswith(":") and after <= indent:
-                text.append(f"{'    ' * (indent + 1)}pass\n")  # nothing to bind
-        return "".join(text)

@@ -9,33 +9,48 @@ in the related literature all have: a :class:`CompiledProgram` is built once
 per :class:`Program` (cached against the program's version stamp) and the
 scheduler/reducer core consumes only the compiled form.
 
-Every rule becomes one generated Python function, ``commit(args,
-blocked)``: head match, guards and body build in one, with the rule's
-variables as Python locals (:mod:`repro.strand.codegen` writes the text;
-this module holds the helpers it calls and loads it).  One procedure's
-functions share one source text, compiled eagerly by
-:func:`compile_program` and registered in :mod:`linecache` under
-``<this file>:name/arity#hash`` (a hash of the text), so that tracebacks
-show it and profiles charge it to this module; each rule's text is kept as
-:attr:`CompiledRule.source`.
+Every procedure becomes one generated Python function, ``select(args,
+blocked)``: rule selection, head match, guards and body build in one, with
+the rules' variables as Python locals (:mod:`repro.strand.codegen` writes
+the text; this module holds the helpers it calls and loads it).  The text
+is compiled eagerly by :func:`compile_program` and registered in
+:mod:`linecache` under ``<this file>:name/arity#hash`` (a hash of the
+text), so that tracebacks show it and profiles charge it to this module;
+it is kept as :attr:`CompiledProcedure.source`, the function as
+:attr:`CompiledProcedure.choose`.
 
 With :mod:`repro.strand.codegen`, this module is the runtime's one
-matcher: the two own the rule semantics (head matching, guards,
-first-argument index keys).  The seed's interpretive matcher is kept only
-as the tests' oracle (``tests/strand/reference_match.py``).
+matcher: the two own the rule semantics (head matching, guards, the
+switch).  The seed's interpretive matcher is kept only as the tests'
+oracle (``tests/strand/reference_match.py``).
 
-Per procedure, rules are bucketed by **first-argument principal functor**
-(an order-preserving first-argument index).  Committed choice must commit on
-the first *textually* matching rule, so buckets preserve textual order and
-rules whose first head argument is a variable appear in every bucket; a goal
-whose first argument is unbound considers the full rule list.  Skipping a
-rule is sound only when its head could neither match *nor suspend* — which
-is exactly the rules whose first pattern has a different principal functor
-from the goal's (already bound) first argument.  A value that is not a term
-(a port) has no principal functor and only variable patterns match it, so
-such a goal considers the wildcard rules.  A procedure whose rules
-cannot be told apart by first argument (arity 0, one rule, or every first
-argument a variable) keeps its plain rule list.
+Committed choice must commit on the first *textually* matching rule, and a
+goal that cannot commit yet must wait on the variables a rule-by-rule scan
+would have met, in the order it met them (the scheduler keeps that order,
+and wake order follows it).  Keeping to both, the generated function
+tests what several rules share once:
+
+* it **switches** on the first argument whose head patterns tell the rules
+  apart (``filter/3``'s stream, not its first argument).  Skipping a rule is
+  sound only when its head could neither match *nor suspend*: exactly the
+  rules whose pattern there has a different principal functor from the
+  goal's (bound) argument.  A value that is not a term (a port) has no
+  principal functor and only variable patterns match it.  A rule with a
+  variable at the switch argument, or with other head arguments to test,
+  is written once between the switch's branches and reached by every
+  goal; an unbound switch argument is appended once, where the first
+  switched rule would have appended it;
+* consecutive rules whose heads are equal up to renaming **match the head
+  once**;
+* a compound arithmetic operand that the comparison guards of several of
+  those rules share is **computed once**, by the first of them, whose
+  first guard it must open, so it is never computed earlier than that rule
+  would compute it.  Arithmetic is pure: later rules reuse its value or
+  its ``ArithFail`` and append its blocking variables where they would
+  have evaluated it.
+
+A procedure with nothing to switch on (arity 0, one rule, or no argument
+whose patterns differ) tries its groups in textual order.
 """
 
 from __future__ import annotations
@@ -45,7 +60,7 @@ import zlib
 from typing import Any, Callable
 
 from repro.strand.arith import ArithFail, Suspend, _eval
-from repro.strand.codegen import OPERATORS, RuleWriter
+from repro.strand.codegen import OPERATORS, ProcedureWriter
 from repro.strand.program import Procedure, Program, Rule
 from repro.strand.terms import (
     _UNBOUND,
@@ -143,11 +158,16 @@ def _prepend(heads: tuple, tail: Term) -> Term:
     return tail
 
 
+#: What a shared guard operand holds when its evaluation raised ArithFail.
+_FAILED = object()
+
+
 #: The globals of all generated code (see :mod:`repro.strand.codegen`);
 #: each procedure adds its constants.
 _HELPERS = {
     "Var": Var, "Struct": Struct, "Tup": Tup, "Cons": Cons, "Atom": Atom, "NIL": NIL,
-    "ArithFail": ArithFail, "_U": _UNBOUND, "_S": _SKIPPED,
+    "ArithFail": ArithFail, "_U": _UNBOUND, "_S": _SKIPPED, "_F": _FAILED,
+    "_AT": frozenset({Atom, int, float, str}),
     "_mv": _match_values, "_mr": _match_run, "_pre": _prepend,
     "_ge": _ground_equal, "_ev": _eval, **OPERATORS,
 }
@@ -163,6 +183,22 @@ def _source_name(name: str, arity: int, text: str) -> str:
     text, so that procedures of the same name keep their own lines."""
     digest = zlib.crc32(text.encode())
     return f"{__file__}:{name.replace('/', '%2F')}/{arity}#{digest:08x}"
+
+
+def _generate(proc: Procedure, rules: tuple[CompiledRule, ...]) -> tuple[str, Callable]:
+    """Generate, compile and load one procedure's selection function.
+
+    Its text is registered in :mod:`linecache` under :func:`_source_name`,
+    so tracebacks and profiles show the generated lines; the compiled
+    rules are its globals ``r<order>``.
+    """
+    ns = _Namespace()
+    text = ProcedureWriter(proc.rules, proc.arity, ns.const).source()
+    ns.update((f"r{crule.order}", crule) for crule in rules)
+    filename = _source_name(proc.name, proc.arity, text)
+    exec(compile(text, filename, "exec"), ns)
+    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+    return text, ns["select"]
 
 
 class _Namespace(dict):
@@ -187,142 +223,48 @@ class _Namespace(dict):
 # Rules, procedures, programs
 # ---------------------------------------------------------------------------
 
-#: Bucket keys of the first-argument index; ``None`` = variable (wildcard).
-IndexKey = Any
-
-
-def index_key(term: Term) -> IndexKey:
-    """The bucket key of an already dereffed head pattern or goal argument.
-
-    ``None`` for a variable and for any value that is not a term (a port,
-    say): no head pattern but a variable can match those, so a goal
-    carrying one falls back to the wildcard rules.
-    """
-    tt = type(term)
-    if tt is Atom:
-        return ("a", term.name)
-    if tt is int or tt is float:
-        # 1 and 1.0 hash/compare equal, which is exactly right: numeric
-        # head patterns match goals across int/float.
-        return ("n", term)
-    if tt is str:
-        return ("s", term)
-    if tt is Cons:
-        return ("c",)
-    if tt is Tup:
-        return ("t", len(term.args))
-    if tt is Struct:
-        return ("f", term.functor, len(term.args))
-    return None
-
-
 class CompiledRule:
-    """One rule's generated ``commit`` function plus a back-pointer to its
-    source rule.
+    """One rule of a compiled procedure: what selection returns for the
+    rule that commits, with a back-pointer to its source rule."""
 
-    ``commit(goal_args, blocked)`` is head match, guards and body build in
-    one: it returns the tuple of the instantiated body goals when the rule
-    commits.  Otherwise it returns ``None``, having appended the blocking
-    caller variables of an undecided match or guard to ``blocked`` (a
-    definite failure contributes nothing).  ``source`` is its Python text.
-    """
+    __slots__ = ("rule", "order")
 
-    __slots__ = ("rule", "order", "commit", "source", "index_key")
-
-    def __init__(self, rule: Rule, order: int, commit: Callable, source: str):
+    def __init__(self, rule: Rule, order: int):
         self.rule = rule
         self.order = order  # textual position within the procedure
-        self.commit = commit
-        self.source = source
-        args = rule.head.args
-        self.index_key = index_key(deref(args[0])) if args else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CompiledRule #{self.order} {self.rule.indicator}>"
 
 
-def _generate(proc: Procedure) -> tuple[CompiledRule, ...]:
-    """Generate, compile and load one procedure's rule functions.
-
-    The procedure's rules share one source text and one namespace; the
-    text is registered in :mod:`linecache` under :func:`_source_name`, so
-    tracebacks and profiles show the generated lines.
-    """
-    ns = _Namespace()
-    sources = [RuleWriter(rule, ns.const).source(f"commit_{order}")
-               for order, rule in enumerate(proc.rules)]
-    text = "".join(sources)
-    filename = _source_name(proc.name, proc.arity, text)
-    exec(compile(text, filename, "exec"), ns)
-    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
-    return tuple(
-        CompiledRule(rule, order, ns[f"commit_{order}"], source)
-        for order, (rule, source) in enumerate(zip(proc.rules, sources))
-    )
-
-
 class CompiledProcedure:
-    """All compiled rules of one procedure, with first-argument buckets.
+    """All compiled rules of one procedure and its generated selection
+    function ``choose(args, blocked)``, whose text is :attr:`source`."""
 
-    ``indexed`` is False when the rules cannot be told apart by first
-    argument (arity 0, one rule, or every first argument a variable):
-    selection then tries the plain rule list."""
-
-    __slots__ = ("name", "arity", "rules", "buckets", "wildcards", "indexed")
+    __slots__ = ("name", "arity", "rules", "source", "choose")
 
     def __init__(self, proc: Procedure):
         self.name = proc.name
         self.arity = proc.arity
-        self.rules = _generate(proc)
-        keys = {r.index_key for r in self.rules}
-        self.indexed = self.arity > 0 and len(self.rules) > 1 and keys != {None}
-        if self.indexed:
-            # Wildcard rules (var-headed first argument) appear in every
-            # bucket; textual order within each bucket is preserved, so the
-            # committed rule is always the first textual match.
-            self.wildcards = tuple(r for r in self.rules if r.index_key is None)
-            buckets: dict[IndexKey, list[CompiledRule]] = {}
-            for key in keys:
-                if key is None:
-                    continue
-                buckets[key] = [
-                    r for r in self.rules
-                    if r.index_key is None or r.index_key == key
-                ]
-            self.buckets = {key: tuple(rules) for key, rules in buckets.items()}
-        else:
-            self.wildcards = self.rules
-            self.buckets = {}
+        self.rules = tuple(CompiledRule(rule, order) for order, rule in enumerate(proc.rules))
+        self.source, self.choose = _generate(proc, self.rules)
 
     @property
     def indicator(self) -> tuple[str, int]:
         return (self.name, self.arity)
-
-    def candidates(self, goal_args: tuple) -> tuple[CompiledRule, ...]:
-        """The (ordered) rules that could match or suspend on this goal."""
-        if not self.indexed:
-            return self.rules
-        first = deref(goal_args[0])
-        if type(first) is Var:
-            return self.rules
-        return self.buckets.get(index_key(first), self.wildcards)
 
     def select(self, goal_args: tuple) -> tuple[CompiledRule, tuple] | None:
         """Committed choice: the first textually-matching rule and its
         instantiated body goals.  Raises :class:`Suspend` when no rule
         matches yet but some could; returns ``None`` on definite failure."""
         blocked: list = []
-        for crule in self.candidates(goal_args):
-            goals = crule.commit(goal_args, blocked)
-            if goals is not None:
-                return crule, goals
-        if blocked:
+        selected = self.choose(goal_args, blocked)
+        if selected is None and blocked:
             raise Suspend(blocked)
-        return None
+        return selected
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = "indexed" if self.indexed else "linear"
-        return f"<CompiledProcedure {self.name}/{self.arity} {mode} {len(self.rules)} rules>"
+        return f"<CompiledProcedure {self.name}/{self.arity} {len(self.rules)} rules>"
 
 
 class CompiledProgram:

@@ -12,9 +12,9 @@ The runtime is a pipeline: *parse → transform → compile → schedule/reduce*
 the pieces together:
 
 * the **compile layer** (:mod:`repro.strand.compile`) lowers the program to
-  a :class:`CompiledProgram` — one generated Python function per rule
-  (head match, guards and body build) and an order-preserving
-  first-argument rule index;
+  a :class:`CompiledProgram` — one generated Python function per
+  procedure (rule selection, head match, guards and body build) that
+  commits on the first textually matching rule;
 * the **scheduler** (:mod:`repro.strand.scheduler`) is a discrete-event
   simulator: a global event heap orders processors by the earliest time they
   can next execute, and per-processor heaps order processes by readiness;

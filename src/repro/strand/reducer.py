@@ -4,13 +4,12 @@ A reduction attempt dispatches a process goal to a *primitive* (a builtin
 or a raw foreign procedure — a motif's runtime support), a foreign (Python)
 procedure, or a user procedure of the :class:`CompiledProgram`: the target
 its engine linked once for the goal's indicator (:meth:`Reducer.link`).
-User-rule selection goes through the compiled procedure's first-argument
-index (see :mod:`repro.strand.compile`): the committed rule is always the
-first *textually* matching one, exactly as the seed's linear scan chose, but
-rules whose head could neither match nor suspend on the goal's first
-argument are never visited.  Each candidate is tried by its generated
-``commit`` function, which returns the committed rule's body goals already
-built; the reducer only spawns them.
+User-rule selection is one call of the compiled procedure's generated
+selection function (see :mod:`repro.strand.compile`): the committed rule is
+always the first *textually* matching one, exactly as the seed's linear scan
+chose, but rules whose head could neither match nor suspend on the goal are
+never tried.  It returns the committed rule's body goals already built; the
+reducer only spawns them.
 
 The reducer touches scheduling only through the engine facade (spawning
 bodies, suspending on blocked variables); the :class:`Scheduler` decides

@@ -619,6 +619,21 @@ class TestConfiguration:
     def test_sequential_machine_has_no_workers(self):
         assert Machine(4).workers is None
 
+    def test_import_leaves_the_backend_unloaded(self):
+        # Every cold start pays for what ``import repro`` loads; the
+        # backend and multiprocessing load only when a run asks for them.
+        import os
+        import subprocess
+
+        import repro
+
+        check = ("import sys, repro, repro.machine, repro.strand; "
+                 "print(sorted({'multiprocessing', 'repro.machine.parallel'} & set(sys.modules)))")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__))}
+        out = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                             check=True, env=env).stdout
+        assert out.strip() == "[]"
+
 
 class TestCli:
     def test_run_backend_parallel(self, tmp_path, capsys):

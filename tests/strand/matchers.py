@@ -1,7 +1,7 @@
 """The two matchers every matching unit test runs through.
 
 ``COMPILED`` is the path the runtime executes: a one-rule
-:class:`~repro.strand.compile.CompiledProcedure` whose generated ``commit``
+:class:`~repro.strand.compile.CompiledProcedure` whose generated selection
 function matches the head, checks the guards and builds the body.  To read
 a match environment it gets a body goal listing the head and guard
 variables; to instantiate a term it gets a head binding the term's known
@@ -15,7 +15,7 @@ test case states one expectation and holds both to it.
 from repro.strand.arith import Suspend
 from repro.strand.compile import CompiledProcedure
 from repro.strand.program import Procedure, Rule
-from repro.strand.terms import Struct, term_vars
+from repro.strand.terms import Struct, Var, deref, term_vars
 from tests.strand.reference_match import (
     MatchResult,
     eval_guards,
@@ -62,14 +62,21 @@ class CompiledMatcher:
     def first_commit(self, rules, goal):
         """Index of the rule committed among ``rules``, ``"suspend"``, or
         ``None`` on definite failure."""
+        outcome = self.select(rules, goal)
+        return {"commit": outcome[-1], "suspend": "suspend", "fail": None}[outcome[0]]
+
+    def select(self, rules, goal):
+        """``("commit", index)``, ``("suspend", variables)`` with the
+        distinct blocking variables in the order selection met them, or
+        ``("fail",)``."""
         proc = Procedure(*goal.indicator)
         for rule in rules:
             proc.add(rule)
         try:
             selected = CompiledProcedure(proc).select(goal.args)
-        except Suspend:
-            return "suspend"
-        return None if selected is None else selected[0].order
+        except Suspend as s:
+            return ("suspend", distinct(s.variables))
+        return ("fail",) if selected is None else ("commit", selected[0].order)
 
     def instantiate(self, term, env, fresh):
         known = {**env, **fresh}
@@ -101,16 +108,32 @@ class OracleMatcher:
         return [instantiate(term, m.env, fresh) for term in rule.body]
 
     def first_commit(self, rules, goal):
-        suspended = False
+        outcome = self.select(rules, goal)
+        return {"commit": outcome[-1], "suspend": "suspend", "fail": None}[outcome[0]]
+
+    def select(self, rules, goal):
+        blocked = []
         for index, rule in enumerate(rules):
-            status = self.commit(rule, goal).status
-            if status == MatchResult.MATCHED:
-                return index
-            suspended = suspended or status == MatchResult.SUSPENDED
-        return "suspend" if suspended else None
+            m = self.commit(rule, goal)
+            if m.status == MatchResult.MATCHED:
+                return ("commit", index)
+            if m.status == MatchResult.SUSPENDED:
+                blocked += m.blocked
+        return ("suspend", distinct(blocked)) if blocked else ("fail",)
 
     def instantiate(self, term, env, fresh):
         return instantiate(term, env, fresh)
+
+
+def distinct(variables) -> list[Var]:
+    """The distinct unbound variables of ``variables`` in first-seen order:
+    what the scheduler keeps of a suspension."""
+    seen, out = set(), []
+    for var in map(deref, variables):
+        if type(var) is Var and id(var) not in seen:
+            seen.add(id(var))
+            out.append(var)
+    return out
 
 
 COMPILED = CompiledMatcher()

@@ -1,18 +1,22 @@
-"""The compile layer: generated rule functions and first-argument indexing.
+"""The compile layer: one generated selection function per procedure.
 
-The load-bearing property: indexed rule selection must be observationally
-identical to the seed engine's linear scan — same committed rule (the first
-*textual* match), same suspension variables, same definite failures — on
-arbitrary programs and goals.
+The load-bearing property: selection must be observationally identical to
+the seed engine's linear scan — same committed rule (the first *textual*
+match), same body, the same suspension variables in the same first-seen
+order, same definite failures — on arbitrary programs and goals, whatever
+the switch, the shared heads and the shared guard operands do.
 """
 
-from hypothesis import given, settings
+import re
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.complexity import measure
-from repro.strand import parse_program, run_query
+from repro.strand import parse_program, parse_rule, parse_term, run_query
 from repro.strand.arith import Suspend
 from repro.strand.compile import CompiledProcedure, compile_program
+from repro.strand.pretty import format_term
 from repro.strand.program import Procedure, Rule
 from repro.strand.streams import PortRef
 from repro.strand.terms import (
@@ -28,7 +32,7 @@ from repro.strand.terms import (
     term_vars,
 )
 from repro.transform.callgraph import CallGraph
-from tests.strand.matchers import COMPILED
+from tests.strand.matchers import COMPILED, distinct
 from tests.strand.reference_match import (
     MatchResult,
     eval_guards,
@@ -57,13 +61,18 @@ def _goal_var_ids(term):
     return ids
 
 
-def reference_select(rules, goal):
-    """("commit", index) | ("suspend", {blocked goal-var ids}) | ("fail",)
+def _suspension(blocked, goal):
+    """The distinct blocking variables of the goal, in first-seen order.
 
     Guards may also block on rule-fresh variables; those have per-run
     identities, so the comparison is restricted to variables of the goal
-    (the only ones a binding can ever wake).
-    """
+    (the only ones a binding can ever wake)."""
+    goal_vars = _goal_var_ids(goal)
+    return ("suspend", tuple(id(v) for v in distinct(blocked) if id(v) in goal_vars))
+
+
+def reference_select(rules, goal):
+    """("commit", index) | ("suspend", (blocked goal-var ids, in order)) | ("fail",)"""
     blocked = []
     for index, rule in enumerate(rules):
         m = match_head(rule.head, goal)
@@ -79,10 +88,7 @@ def reference_select(rules, goal):
             blocked.extend(g.blocked)
             continue
         return ("commit", index)
-    if blocked:
-        goal_vars = _goal_var_ids(goal)
-        return ("suspend", frozenset(id(v) for v in blocked) & goal_vars)
-    return ("fail",)
+    return _suspension(blocked, goal) if blocked else ("fail",)
 
 
 def reference_body(rule, goal):
@@ -133,24 +139,20 @@ def compiled_select(compiled: CompiledProcedure, goal):
     try:
         selected = compiled.select(goal.args)
     except Suspend as s:
-        goal_vars = _goal_var_ids(goal)
-        return ("suspend",
-                frozenset(id(deref(v)) for v in s.variables) & goal_vars)
+        return _suspension(s.variables, goal)
     if selected is None:
         return ("fail",)
     return ("commit", selected[0].order)
 
 
-def linear_select(compiled: CompiledProcedure, goal):
-    """The compiled rules tried in textual order, ignoring the buckets."""
-    blocked = []
-    for crule in compiled.rules:
-        if crule.commit(goal.args, blocked) is not None:
-            return ("commit", crule.order)
-    if blocked:
-        goal_vars = _goal_var_ids(goal)
-        return ("suspend", frozenset(id(deref(v)) for v in blocked) & goal_vars)
-    return ("fail",)
+def check_selection(proc, goal):
+    """Selection equals the reference: rule, suspension order and body."""
+    compiled = CompiledProcedure(proc)
+    expected = reference_select(proc.rules, goal)
+    assert compiled_select(compiled, goal) == expected, compiled.source
+    if expected[0] == "commit":
+        body = Tup(reference_body(proc.rules[expected[1]], goal))
+        assert is_variant(Tup(compiled_body(compiled, goal)), body), compiled.source
 
 
 # Head-pattern strategy: atoms, numbers, strings, vars, and nested
@@ -302,17 +304,110 @@ def _guarded_procedures(draw):
     return proc
 
 
+#: Heads of ``p/3`` as ``(first, second, third)`` argument texts.  The
+#: second argument tells the rules apart.  The first is mostly a plain
+#: variable in every rule, so the rules are switched on the second; in
+#: some procedures every head tests it first (``f(P)``), in others it
+#: varies by rule.  The third sometimes repeats a variable (``X``).
+_FIRST = ["P", "P", "P", "P", "P", "f(P)", "mixed"]
+_MIXED_FIRST = ["P", "P", "a", "f(P)"]
+_SECOND = ["[X | Xs]", "[X | Xs]", "[]", "[X, Y | Xs]", "[X]", "[a | Xs]",
+           "f(X)", "g(X, Y)", "a", "0", "L", "L"]
+_THIRD = ["B", "B", "B", "B", "X", "b"]
+#: Compound operands the guards share; each names the variables it needs.
+_SHARED = [("X mod P", "XP"), ("X + 1", "X"), ("P - X", "XP"), ("B mod P", "BP"),
+           ("X * 2", "X"), ("P mod 0", "P"), ("B + P", "BP")]
+_GUARD_FORMS = ["{e} =:= 0", "{e} =\\= 0", "{e} > 1", "{e} < 2", "0 < {e}", "{e} >= {e}",
+                "P > {e}", "P > {e}"]
+_PLAIN_GUARDS = [("B > 0", "B"), ("B > 0", "B"), ("P < 2", "P"), ("known(B)", "B"),
+                 ("integer(X)", "X"), ("X == a", "X"), ("Y > foo", "Y"), ("fail", ""),
+                 ("fail", "")]
+
+
+@st.composite
+def _shared_procedures(draw):
+    """Consecutive rules that share head patterns and guard operands, told
+    apart (mostly) by their second argument.  A rule's guards are drawn
+    from a comparison of the procedure's favourite shared operand and two
+    other guards, in any order, so that a shared operand is read first by
+    some rules and after a blocking or failing guard by others."""
+    first = draw(st.sampled_from(_FIRST))
+    favourite = draw(st.sampled_from(_SHARED))[0]
+    proc = Procedure("p", 3)
+    head = None
+    for _ in range(draw(st.integers(min_value=2, max_value=5))):
+        if head is None or draw(st.integers(0, 3)) == 0:
+            head = (draw(st.sampled_from(_MIXED_FIRST)) if first == "mixed" else first,
+                    draw(st.sampled_from(_SECOND)), draw(st.sampled_from(_THIRD)))
+        text = "p({}, {}, {})".format(*head)
+        names = {c for c in "PXYB" if c in text.replace("Xs", "")}
+        shared = [e for e, needs in _SHARED if set(needs) <= names]
+        plain = [g for g, needs in _PLAIN_GUARDS if set(needs) <= names]
+        pool = []
+        if shared:
+            operand = favourite if favourite in shared else draw(st.sampled_from(shared))
+            forms = [f for f in _GUARD_FORMS if "P" not in f or "P" in names]
+            pool.append(draw(st.sampled_from(forms)).format(e=operand))
+        pool += [draw(st.sampled_from(plain)) for _ in range(2)]
+        guards = [g for g in draw(st.permutations(pool)) if draw(st.integers(0, 4)) < 3]
+        body = "q({}, F)".format(", ".join(sorted(names)) or "0")
+        proc.add(parse_rule(f"{text} :- {', '.join(guards) or 'true'} | {body}."))
+    return proc
+
+
+def _case(source, goal):
+    """A procedure and a goal from their text."""
+    return parse_program(source).procedure("p", 3), parse_term(goal)
+
+
+#: What a head variable becomes in a goal built from the head: a value,
+#: or an unbound goal variable (half the time).
+_GOAL_VALUES = ["0", "1", "2", "3", "a", "[]", "[4 | T9]", "U", "U", "U", "U", "U", "U", "U"]
+
+
+@st.composite
+def _shared_cases(draw):
+    """A procedure and a goal, half the time an instance of one of its
+    heads, so that heads match and guards decide."""
+    proc = draw(_shared_procedures())
+    if draw(st.booleans()):
+        return proc, draw(_shared_goals())
+    head = format_term(draw(st.sampled_from(proc.rules)).head)
+    values: dict[str, str] = {}
+
+    def value(match):
+        name = match.group(0)
+        if name not in values:
+            values[name] = draw(st.sampled_from(_GOAL_VALUES)).replace("U", f"U{len(values)}")
+        return values[name]
+
+    return proc, parse_term(re.sub(r"\b_?[A-Z][A-Za-z0-9_]*", value, head))
+
+
+#: Goal arguments, several of them unbound.
+_GOAL_FIRST = ["0", "1", "2", "3", "U1", "U1", "a", "f(1)", "f(U2)"]
+_GOAL_ELEMENTS = ["0", "1", "2", "3", "E1", "E1", "a"]
+_GOAL_THIRD = ["W", "W", "W", "0", "1", "a", "b"]
+
+
+@st.composite
+def _shared_goals(draw):
+    element = draw(st.sampled_from(_GOAL_ELEMENTS))
+    tail = draw(st.sampled_from(["T", "[]", "[2]", "[E2 | T]"]))
+    second = draw(st.sampled_from([
+        f"[{element} | {tail}]", "[]", f"f({element})", f"g({element}, 1)", "a", "0",
+        "S", "S",
+    ]))
+    return parse_term("p({}, {}, {})".format(
+        draw(st.sampled_from(_GOAL_FIRST)), second, draw(st.sampled_from(_GOAL_THIRD))))
+
+
 class TestIndexedEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(_procedures(), _goals())
     def test_indexed_selection_matches_linear_and_reference(self, proc, goal):
-        compiled = CompiledProcedure(proc)
-        expected = reference_select(proc.rules, goal)
-        assert linear_select(compiled, goal) == expected
-        assert compiled_select(compiled, goal) == expected
-        if expected[0] == "commit":
-            body = Tup(reference_body(proc.rules[expected[1]], goal))
-            assert is_variant(Tup(compiled_body(compiled, goal)), body)
+        # The reference is the seed's linear scan of the rules.
+        check_selection(proc, goal)
 
     @settings(max_examples=200, deadline=None)
     @given(_guarded_procedures(), _goals(), st.one_of(
@@ -322,13 +417,23 @@ class TestIndexedEquivalence:
     def test_guards_match_the_reference(self, proc, goal, second):
         # Arithmetic, equality, type and ``known`` guards, with blocked,
         # non-arithmetic and guard-only operands, decide as the oracle does.
-        goal = Struct("p", (goal.args[0], second))
-        expected = reference_select(proc.rules, goal)
-        compiled = CompiledProcedure(proc)
-        assert compiled_select(compiled, goal) == expected
-        if expected[0] == "commit":
-            body = Tup(reference_body(proc.rules[expected[1]], goal))
-            assert is_variant(Tup(compiled_body(compiled, goal)), body)
+        check_selection(proc, Struct("p", (goal.args[0], second)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_shared_cases())
+    @example(_case("""
+        p(P, [X | Xs], B) :- X mod P =:= 0, fail | q.
+        p(P, [X | Xs], B) :- B > 0, X mod P =\\= 0 | q.
+        """, "p(3, [U | T], V)"))
+    @example(_case("""
+        p(P, [X | Xs], B) :- X mod P =:= 0 | q.
+        p(P, [X | Xs], B) :- B > X mod P | q.
+        """, "p(0, [5 | T], V)"))
+    def test_shared_heads_and_guards_match_the_reference(self, case):
+        # Shared heads and guard operands, a switch on the second argument,
+        # several unbound goal arguments: same rule, same body, same
+        # blocking variables in the same order.
+        check_selection(*case)
 
     def test_port_first_argument_falls_back_to_wildcards(self):
         # A port matches only a variable head argument; indexed selection
@@ -342,25 +447,39 @@ class TestIndexedEquivalence:
         assert deref(result.bindings["Out"]) is Atom("yes")
 
     def test_var_headed_rules_stay_in_every_bucket(self):
+        # A variable-headed rule between indexed ones is tried for every
+        # first argument, in textual order, and written once.
         proc = Procedure("p", 1)
         proc.add(Rule(head=Struct("p", (Atom("a"),)), body=[]))
-        wildcard = Rule(head=Struct("p", (Var("X"),)), body=[])
-        proc.add(wildcard)
+        proc.add(Rule(head=Struct("p", (Var("X"),)), body=[]))
         proc.add(Rule(head=Struct("p", (Atom("b"),)), body=[]))
         compiled = CompiledProcedure(proc)
-        assert compiled.indexed
-        for key, bucket in compiled.buckets.items():
-            assert any(r.rule is wildcard for r in bucket), key
-        # Textual order inside the bucket: a-rule before the wildcard.
-        a_bucket = compiled.buckets[("a", "a")]
-        assert [r.order for r in a_bucket] == [0, 1]
-        # Unseen key → only the wildcard can match.
-        assert [r.order for r in compiled.candidates((Atom("zzz"),))] == [1]
-        # Unbound first argument → the full rule list, in order.
-        assert [r.order for r in compiled.candidates((Var(),))] == [0, 1, 2]
+        assert compiled.source.count("return r1,") == 1
+        for first, order in [(Atom("a"), 0), (Atom("b"), 1), (Atom("zzz"), 1), (Var(), 1)]:
+            assert compiled.select((first,))[0].order == order
+
+    def test_many_atomic_keys_are_found_by_one_lookup(self):
+        # Past a handful of atomic keys the switch looks the key up in a
+        # table; it must pick what the textual scan picks, numbers across
+        # int/float included, and leave other values to the other rules.
+        keys = ["0", "1", "2.5", "a", "b", "c", "d", '"s"', "'[]'", "7"]
+        program = parse_program("\n".join(
+            [f"p({key}, X, R) :- X > 0 | R := {n}." for n, key in enumerate(keys)]
+            + ["p(f(Y), X, R) :- R := f.", "p(Z, X, R) :- R := other."]
+        ))
+        proc = program.procedure("p", 3)
+        compiled = CompiledProcedure(proc)
+        assert ".get(a0)" in compiled.source
+        values = [*keys, "1.0", "2.5", "e", '"t"', "[]", "f(1)", "g(1)", "U", "[1]"]
+        for value in values:
+            for second in ("1", "0", "V"):
+                goal = parse_term(f"p({value}, {second}, R)")
+                check_selection(proc, goal)
+        port = PortRef(Var(), owner=1)
+        check_selection(proc, Struct("p", (port, 1, Var("R"))))
 
     def test_variable_first_arguments_keep_the_rule_list(self):
-        # Nothing to index on: selection scans the rules in textual order.
+        # Nothing to switch on: selection tries the rules in textual order.
         program = parse_program("""
         p(X, Out) :- X > 0 | Out := pos.
         p(X, Out) :- X < 0 | Out := neg.
@@ -368,8 +487,7 @@ class TestIndexedEquivalence:
         """)
         proc = program.procedure("p", 2)
         compiled = CompiledProcedure(proc)
-        assert compiled.indexed is False
-        assert compiled.candidates((Atom("a"), Var())) == compiled.rules
+        assert "blocked.append" not in compiled.source
         for first in (3, -2, 0, Atom("a"), Var("U")):
             goal = Struct("p", (first, Var("Out")))
             assert compiled_select(compiled, goal) == reference_select(proc.rules, goal)
@@ -479,36 +597,43 @@ class TestGeneratedCode:
 
     def test_rule_functions_are_filed_under_compile_py(self):
         # Profiles charge code to a layer by its file: the generated
-        # functions must sit under compile.py, with their text readable.
+        # function must sit under compile.py, with its text readable.
         import linecache
 
         import repro.strand.compile as compile_module
 
         proc = compile_program(parse_program(self.SRC)).procedure(("filter", 3))
-        for crule in proc.rules:
-            code = crule.commit.__code__
-            assert code.co_filename.startswith(f"{compile_module.__file__}:filter/3#")
-            assert crule.source.startswith(f"def {code.co_name}(args, blocked):")
-            line = linecache.getline(code.co_filename, code.co_firstlineno)
-            assert line == crule.source.splitlines(True)[0]
+        code = proc.choose.__code__
+        assert code.co_filename.startswith(f"{compile_module.__file__}:filter/3#")
+        assert proc.source.startswith(f"def {code.co_name}(args, blocked):")
+        line = linecache.getline(code.co_filename, code.co_firstlineno)
+        assert line == proc.source.splitlines(True)[0]
 
     def test_same_indicator_keeps_its_own_lines(self):
         import linecache
 
-        one = compile_program(parse_program("p(X) :- q(X).")).procedure(("p", 1)).rules[0]
-        two = compile_program(parse_program("p(a) :- r.")).procedure(("p", 1)).rules[0]
-        assert one.commit.__code__.co_filename != two.commit.__code__.co_filename
-        for crule in (one, two):
-            lines = linecache.getlines(crule.commit.__code__.co_filename)
-            assert lines == crule.source.splitlines(True)
+        one = compile_program(parse_program("p(X) :- q(X).")).procedure(("p", 1))
+        two = compile_program(parse_program("p(a) :- r.")).procedure(("p", 1))
+        assert one.choose.__code__.co_filename != two.choose.__code__.co_filename
+        for proc in (one, two):
+            lines = linecache.getlines(proc.choose.__code__.co_filename)
+            assert lines == proc.source.splitlines(True)
+
+    def test_shared_head_and_operand_are_written_once(self):
+        # filter/3 switches on its stream: the [X | Xs] unpack and X mod P
+        # are each written once, and an unbound stream is one append.
+        source = compile_program(parse_program(self.SRC)).procedure(("filter", 3)).source
+        assert source.count(".head") == 1
+        assert source.count("_b5(") == 1
+        assert source.count("while type(a1) is Var") == 1
+        assert "if type(a1) is Var: blocked.append(a1)" in source
 
     def test_long_literals_do_not_nest(self):
         xs = [Var(f"X{i}") for i in range(2000)]
         rule = Rule(Struct("p", (make_list(xs),)), [], [Struct("q", (make_list(xs[::-1]),))])
         proc = Procedure("p", 1)
         proc.add(rule)
-        source = CompiledProcedure(proc).rules[0].source
+        source = CompiledProcedure(proc).source
         depth = max(len(line) - len(line.lstrip()) for line in source.splitlines()) // 4
         assert depth <= 3
         assert max(line.count("(") for line in source.splitlines()) < 100
-

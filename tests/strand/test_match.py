@@ -311,6 +311,79 @@ class TestEdgeCases:
         m = self.matcher.match(head, Struct("p", (nest(150, Var("Deep")),)))
         assert m.status == MatchResult.SUSPENDED
 
+    FILTER = parse_program("""
+    filter(P, [X | Xs], Ys) :- X mod P =\\= 0 | Ys := [X | Ys1], filter(P, Xs, Ys1).
+    filter(P, [X | Xs], Ys) :- X mod P =:= 0 | filter(P, Xs, Ys).
+    filter(_, [], Ys) :- Ys := [].
+    """).procedure("filter", 3).rules
+
+    def test_shared_modulo_by_zero_fails_both_guarded_rules(self):
+        # X mod P is shared by the first two rules: mod 0 fails both, and
+        # the stream is not empty, so the goal fails.
+        assert self.matcher.select(self.FILTER, parse_term("filter(0, [5 | T], Y)")) == ("fail",)
+        assert self.matcher.select(self.FILTER, parse_term("filter(2, [5 | T], Y)")) == ("commit", 0)
+        assert self.matcher.select(self.FILTER, parse_term("filter(5, [5 | T], Y)")) == ("commit", 1)
+
+    def test_shared_operand_suspends_on_its_variable_once(self):
+        x = Var("X")
+        goal = Struct("filter", (3, Cons(x, Var("T")), Var("Y")))
+        assert self.matcher.select(self.FILTER, goal) == ("suspend", [x])
+        stream = Var("S")
+        goal = Struct("filter", (3, stream, Var("Y")))
+        assert self.matcher.select(self.FILTER, goal) == ("suspend", [stream])
+
+    def test_unbound_switch_and_earlier_arguments_block_in_rule_order(self):
+        # Both procedures are told apart by their second argument.  In the
+        # first, every head tests its first argument before it; in the
+        # second, a guard reads the first argument.
+        u, v = Var("U"), Var("V")
+        tested = parse_program("""
+        p(f(N), L, R) :- N < 0 | R := neg.
+        p(f(N), [X | Xs], R) :- N > 0 | R := X.
+        p(f(a), [], R) :- R := a.
+        """).procedure("p", 3).rules
+        for goal_args, rules, expected in [
+            ((u, v), tested, [u, v]),
+            ((Struct("f", (u,)), v), tested, [u, v]),
+            ((Struct("f", (u,)), v), tested[1:], [v, u]),
+            ((Struct("f", (Atom("b"),)), v), tested[1:], [v]),
+        ]:
+            goal = Struct("p", (*goal_args, Var("R")))
+            assert self.matcher.select(rules, goal) == ("suspend", expected), goal
+        guarded = parse_program("""
+        p(N, L, R) :- N < 0 | R := neg.
+        p(N, [X | Xs], R) :- N > 0 | R := X.
+        p(N, [], R) :- N =:= 0 | R := zero.
+        """).procedure("p", 3).rules
+        goal = Struct("p", (u, v, Var("R")))
+        assert self.matcher.select(guarded, goal) == ("suspend", [u, v])
+        assert self.matcher.select(guarded[1:], goal) == ("suspend", [v])
+        goal = Struct("p", (u, NIL, Var("R")))
+        assert self.matcher.select(guarded[1:], goal) == ("suspend", [u])
+        assert self.matcher.select(guarded, parse_term("p(0, [], R)")) == ("commit", 2)
+
+    def test_variable_at_the_switch_between_two_indexed_rules(self):
+        rules = parse_program("""
+        q(P, [X | Xs], R) :- X > P | R := big.
+        q(P, L, R) :- P > 5 | R := wild.
+        q(P, [], R) :- R := empty.
+        """).procedure("q", 3).rules
+        for goal, expected in [
+            ("q(1, [3 | T], R)", ("commit", 0)),
+            ("q(9, [0 | T], R)", ("commit", 1)),
+            ("q(9, [], R)", ("commit", 1)),
+            ("q(1, [], R)", ("commit", 2)),
+            ("q(1, [0 | T], R)", ("fail",)),
+            ("q(9, f(1), R)", ("commit", 1)),
+            ("q(1, f(1), R)", ("fail",)),
+        ]:
+            assert self.matcher.select(rules, parse_term(goal)) == expected, goal
+        p, s = Var("P"), Var("S")
+        assert self.matcher.select(rules, Struct("q", (p, s, Var("R")))) == ("suspend", [s, p])
+        x = Var("X")
+        goal = Struct("q", (p, Cons(x, NIL), Var("R")))
+        assert self.matcher.select(rules, goal) == ("suspend", [x, p])
+
 
 class TestHeadMatchingOracle(TestHeadMatching):
     matcher = ORACLE
