@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from repro.machine.faults import FaultStats
-from repro.machine.processor import VirtualProcessor
+from repro.machine.processor import ProcessorCounters, VirtualProcessor
 
 __all__ = [
     "MachineMetrics",
@@ -91,57 +91,45 @@ class EpochTelemetry:
 
 
 @dataclass(kw_only=True)
-class MachineMetrics(FaultStats):
+class MachineMetrics(ProcessorCounters, FaultStats):
     """Snapshot of one finished run.
 
-    The fault, supervision, and reliability counters are inherited from
-    :class:`~repro.machine.faults.FaultStats`, their one declaration."""
+    The summed processor counters are inherited from
+    :class:`~repro.machine.processor.ProcessorCounters` and the fault,
+    supervision, and reliability counters from
+    :class:`~repro.machine.faults.FaultStats`, their one declarations."""
 
     processors: int
     makespan: float
     busy: list[float]
-    reductions: int
-    suspensions: int
-    wakeups: int
-    sends: int
-    remote_bindings: int
-    hops: int
     peak_live_tasks: list[int]
     peak_live_values: list[int]
-    tasks_started: int
-    # Optional cost split recorded by the engine: virtual time charged to
-    # procedures in the "library" set vs everything else (experiment E8).
-    library_cost: float = 0.0
-    user_cost: float = 0.0
+    # Charged virtual time outside the "library" set (experiment E8): every
+    # cost a reduction charges lands in its processor's ``busy``.
+    user_cost: float = field(init=False)
     # Events the Trace dropped past its limit — nonzero means every
     # trace-derived figure is a lower bound.
     trace_dropped: int = 0
     # Epoch-protocol telemetry; only parallel-backend runs carry it.
     parallel: EpochTelemetry | None = None
 
+    def __post_init__(self) -> None:
+        self.user_cost = self.total_busy - self.library_cost
+
     @classmethod
     def from_processors(
-        cls,
-        procs: list[VirtualProcessor],
-        library_cost: float = 0.0,
-        user_cost: float = 0.0,
-        **fault_counters: int,
+        cls, procs: list[VirtualProcessor], **fault_counters: int
     ) -> "MachineMetrics":
+        totals = ProcessorCounters()
+        for p in procs:
+            totals.add(p)
         return cls(
             processors=len(procs),
             makespan=max((p.clock for p in procs), default=0.0),
             busy=[p.busy for p in procs],
-            reductions=sum(p.reductions for p in procs),
-            suspensions=sum(p.suspensions for p in procs),
-            wakeups=sum(p.wakeups for p in procs),
-            sends=sum(p.sends for p in procs),
-            remote_bindings=sum(p.remote_bindings for p in procs),
-            hops=sum(p.hops for p in procs),
             peak_live_tasks=[p.peak_live_tasks for p in procs],
             peak_live_values=[p.peak_live_values for p in procs],
-            tasks_started=sum(p.tasks_started for p in procs),
-            library_cost=library_cost,
-            user_cost=user_cost,
+            **vars(totals),
             **fault_counters,
         )
 
@@ -185,7 +173,7 @@ class MachineMetrics(FaultStats):
     @property
     def library_fraction(self) -> float:
         """Fraction of charged cost spent in motif-library procedures."""
-        total = self.library_cost + self.user_cost
+        total = self.total_busy
         if total == 0:
             return 0.0
         return self.library_cost / total

@@ -84,8 +84,10 @@ Guarantees and limits
 * Fault injection (``Machine(faults=...)``) and per-motif profiling
   (``profile=``) raise :class:`NotImplementedError` on this backend.
 * ``max_reductions`` is enforced per worker, not globally.
-* Fault and motif counters (every :class:`~repro.machine.faults.FaultStats`
-  field) are summed over the workers.
+* Processor counters (every
+  :class:`~repro.machine.processor.ProcessorCounters` field) are summed
+  over every shard's replica of a processor, and fault and motif counters
+  (every :class:`~repro.machine.faults.FaultStats` field) over the workers.
 * The returned metrics carry :class:`~repro.machine.metrics.EpochTelemetry`
   (barrier rounds, active workers, routed messages by kind, per-round
   worker busy seconds, and worker start-up seconds).
@@ -127,13 +129,6 @@ EPOCH_REDUCTIONS = 2048
 #: 26 rounds to 7 and leaves less of each run to the difference between the
 #: two cores' speeds.
 MAX_EPOCH_REDUCTIONS = 16 * EPOCH_REDUCTIONS
-
-
-#: ``VirtualProcessor`` counters a shard may charge to its replica of a
-#: processor it does not own (applying a remote binding charges the
-#: binder's processor); the rest of a record lives only on the owner.
-CROSS_SHARD_COUNTERS = ("sends", "hops", "remote_bindings", "suspensions",
-                        "wakeups")
 
 
 def shard_of(proc: int, workers: int) -> int:
@@ -421,8 +416,6 @@ class _WorkerState:
         machine = engine.machine
         return (
             machine.procs,
-            machine.library_cost,
-            machine.user_cost,
             machine.fault_stats,
             list(machine.trace.events),
             machine.trace.dropped,
@@ -728,36 +721,28 @@ def run_parallel(engine) -> MachineMetrics:
                               {w: None for w in range(workers)})
     finally:
         pool.shutdown()
-    stuck = [row for final in finals for row in final[7]]
+    stuck = [row for final in finals for row in final[5]]
     if stuck:
         raise DeadlockError(deadlock_report(stuck))
 
     # Each processor's record is its owning shard's replica, plus the
-    # cross-shard counters the other shards charged to their replicas.
+    # counters the other shards charged to their replicas.
     merged = [finals[shard_of(p, workers)][0][p - 1]
               for p in range(1, processors + 1)]
-    library_cost = 0.0
-    user_cost = 0.0
     trace_batches = []
     output: list[str] = []
-    for w, (procs, lib_cost, usr_cost, _stats, events, dropped,
-            out, _stuck) in enumerate(finals):
-        library_cost += lib_cost
-        user_cost += usr_cost
+    for w, (procs, _stats, events, dropped, out, _stuck) in enumerate(finals):
         trace_batches.append((w, events, dropped))
         output.extend(out)
         for vp in procs:
             owner = merged[vp.number - 1]
             if owner is not vp:
-                for name in CROSS_SHARD_COUNTERS:
-                    setattr(owner, name, getattr(owner, name) + getattr(vp, name))
+                owner.add(vp)
 
     machine.procs = merged
-    machine.library_cost = library_cost
-    machine.user_cost = user_cost
     for f in fields(FaultStats):
         setattr(machine.fault_stats, f.name,
-                sum(getattr(final[3], f.name) for final in finals))
+                sum(getattr(final[1], f.name) for final in finals))
     engine.output[:] = output
     _merge_traces(machine.trace, trace_batches)
     metrics = machine.metrics()

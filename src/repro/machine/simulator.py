@@ -133,9 +133,6 @@ class Machine:
         self.partitions: tuple[Partition, ...] = (
             faults.resolve_partitions(processors, self.rng) if faults else ()
         )
-        # Cost split for experiment E8; the engine fills these in.
-        self.library_cost = 0.0
-        self.user_cost = 0.0
 
     # -- addressing ---------------------------------------------------------
     @property
@@ -229,8 +226,6 @@ class Machine:
     def metrics(self) -> MachineMetrics:
         return MachineMetrics.from_processors(
             self.procs,
-            library_cost=self.library_cost,
-            user_cost=self.user_cost,
             trace_dropped=self.trace.dropped,
             **asdict(self.fault_stats),
         )
@@ -254,8 +249,6 @@ class Machine:
             if self.faults
             else ()
         )
-        self.library_cost = 0.0
-        self.user_cost = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -118,14 +118,11 @@ class Reducer:
         if profile is not None:
             profile.reduction(cost)
         process.state = DONE
-        machine = engine.machine
-        vp = machine.procs[process.proc - 1]
+        vp = engine.machine.procs[process.proc - 1]
         if watched:
             vp.task_finished()
         if process.lib:
-            machine.library_cost += cost
-        else:
-            machine.user_cost += cost
+            vp.library_cost += cost
         if trace.enabled:
             trace.record(now, process.proc, "reduce", goal.functor,
                          motif=process.motif or "", dur=cost)

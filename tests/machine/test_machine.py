@@ -124,7 +124,8 @@ class TestMetrics:
         procs[1].clock, procs[1].busy, procs[1].reductions = 6.0, 6.0, 6
         procs[0].sends, procs[1].remote_bindings = 3, 2
         procs[0].peak_live_tasks = 4
-        return MachineMetrics.from_processors(procs, library_cost=4.0, user_cost=12.0)
+        procs[0].library_cost = 3.5
+        return MachineMetrics.from_processors(procs)
 
     def test_aggregates(self):
         m = self.make()

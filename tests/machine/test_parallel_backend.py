@@ -14,6 +14,7 @@ import cProfile
 import sys
 import threading
 from contextlib import contextmanager
+from dataclasses import fields
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.machine.parallel import (
     _WorkerPool,
     shard_of,
 )
+from repro.machine.processor import ProcessorCounters
 from repro.machine.profile import MotifProfile
 from repro.strand import ForeignRegistry, parse_program, run_query
 
@@ -163,9 +165,9 @@ class TestEquivalence:
 
 class TestCounterMerge:
     """The merged per-processor record takes the owning shard's replica
-    whole and adds the cross-shard counters every shard may charge."""
+    whole and adds every counter the other shards charged to theirs."""
 
-    FIELDS = ("sends", "hops", "remote_bindings", "reductions")
+    FIELDS = tuple(f.name for f in fields(ProcessorCounters))
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_spread_rows_match_sequential(self, workers):
@@ -184,15 +186,15 @@ class TestCounterMerge:
         make(V) :- V := v(5).
         use(v(X), Out) :- Out := X.
         """
-        fields = self.FIELDS + ("suspensions", "wakeups")
         rows = []
         for backend in ("sequential", "parallel"):
             machine = on_backend(backend, 2)
             result = run_query(parse_program(src), "go(Out)", machine=machine)
             assert result.value("Out") == 5
-            rows.append(processor_rows(machine, fields))
+            rows.append(processor_rows(machine, self.FIELDS))
         assert rows[1] == rows[0]
-        assert rows[0][1][:3] == (0, 1, 1)  # p2: sends, hops, remote_bindings
+        p2 = dict(zip(self.FIELDS, rows[0][1]))
+        assert (p2["sends"], p2["hops"], p2["remote_bindings"]) == (0, 1, 1)
 
     def test_motif_counters_summed_over_workers(self):
         # The Reliable motif's primitives bump FaultStats counters on the
@@ -457,8 +459,8 @@ class TestEngineOptions:
         assert peaks == [(0,), (1,)]
         assert processor_rows(par_machine, ("peak_live_tasks",)) == peaks
         # library: work/2 is charged as library cost.
-        assert seq_machine.library_cost > 0
-        assert par_machine.library_cost == seq_machine.library_cost
+        assert seq.metrics.library_cost > 0
+        assert par.metrics.library_cost == seq.metrics.library_cost
         # abandon_stragglers: wait/1 is dropped instead of deadlocking.
         for backend in ("sequential", "parallel"):
             result, _ = self.run(backend, "stuck(Out, V)",
@@ -514,15 +516,14 @@ class TestStartMethod:
             assert _start_method() == "spawn"
 
     def test_spawned_run_matches_sequential(self):
-        fields = TestCounterMerge.FIELDS + ("suspensions", "wakeups")
         seq_machine = Machine(4, seed=7)
         seq = run_spread(seq_machine)
         par_machine = Machine(4, seed=7, backend="parallel", workers=2)
         with live_thread():
             par = run_spread(par_machine)
         assert par.value("Out") == seq.value("Out")
-        assert (processor_rows(par_machine, fields)
-                == processor_rows(seq_machine, fields))
+        assert (processor_rows(par_machine, TestCounterMerge.FIELDS)
+                == processor_rows(seq_machine, TestCounterMerge.FIELDS))
 
     def test_closed_parent_end_stops_workers(self):
         # A worker must see EOF when the parent closes its end of the pipe,

@@ -51,8 +51,9 @@ def test_accounting_invariants(leaves, log_p, topology, seed):
     assert m.total_busy == sum(p.busy for p in procs)
     assert m.sends == sum(p.sends for p in procs)
 
-    # 4. Cost attribution partitions the total charged work.
-    assert abs((m.library_cost + m.user_cost) - m.total_busy) < 1e-6
+    # 4. A processor's library cost is part of its charged work.
+    for p in procs:
+        assert 0.0 <= p.library_cost <= p.busy
 
     # 5. Every hop was carried by a message, and single-processor machines
     #    never communicate.
@@ -67,6 +68,13 @@ def test_accounting_invariants(leaves, log_p, topology, seed):
     # 7. And, of course, the answer is the fold.
     tree = arithmetic_tree(leaves, seed=seed)
     assert result.value == sequential_reduce(tree, eval_arith_node)
+
+    # 8. A reset machine starts with no cost split.
+    assert m.library_cost > 0 and m.user_cost > 0
+    machine = result.engine.machine
+    machine.reset()
+    reset = machine.metrics()
+    assert (reset.library_cost, reset.user_cost) == (0.0, 0.0)
 
 
 @given(

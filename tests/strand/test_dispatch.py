@@ -34,8 +34,8 @@ def run(source, query, *, processors=1, tag=None, trace=False, **options):
 
 def costs(result):
     """``(library_cost, user_cost)`` of a query result's or engine's machine."""
-    machine = getattr(result, "engine", result).machine
-    return machine.library_cost, machine.user_cost
+    metrics = getattr(result, "engine", result).machine.metrics()
+    return metrics.library_cost, metrics.user_cost
 
 
 def reduce_motifs(result, functor):
