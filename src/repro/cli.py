@@ -81,8 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--profile", action="store_true",
                        help="print a per-motif/per-predicate cost table")
     run_p.add_argument("--trace-out", type=Path, default=None, metavar="FILE",
-                       help="stream the causal event trace to FILE as JSONL "
-                            "(auto-enables tracing; analyse with "
+                       help="write the causal event trace to FILE as JSONL "
+                            "after the run: the events the in-memory trace "
+                            "still holds, so --trace-limit/--trace-ring bound "
+                            "it too (auto-enables tracing; analyse with "
                             "'repro trace FILE')")
     run_p.add_argument("--trace-limit", type=int, default=None, metavar="N",
                        help="cap the in-memory trace at N events "
@@ -149,6 +151,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # Any observability flag auto-enables tracing — --gantt on a disabled
     # trace used to print an empty schedule silently.
     tracing = bool(args.gantt or args.trace_out)
+    if not tracing and (args.trace_limit is not None or args.trace_ring):
+        print("error: --trace-limit and --trace-ring need --trace-out or "
+              "--gantt (without them nothing is traced)", file=sys.stderr)
+        return 2
+    if args.trace_limit is not None and args.trace_limit < 1:
+        print("error: --trace-limit must be at least 1", file=sys.stderr)
+        return 2
     profile = MotifProfile() if args.profile else None
     try:
         program = parse_program(source, name=args.source.stem)
@@ -157,7 +166,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                           backend=args.backend,
                           workers=args.workers,
                           epoch_window=args.epoch_window)
-        if tracing and (args.trace_limit is not None or args.trace_ring):
+        if args.trace_limit is not None or args.trace_ring:
             limit = (args.trace_limit if args.trace_limit is not None
                      else 1_000_000)
             machine.trace = Trace(enabled=True, limit=limit,

@@ -194,6 +194,26 @@ class TestObservabilityFlags:
         assert "older event(s) evicted" in err
         assert "--trace-ring" not in err and "truncated" not in err
 
+    @pytest.mark.parametrize("flags", [["--trace-limit", "10"],
+                                       ["--trace-ring"],
+                                       ["--trace-ring", "--trace-limit", "10"]])
+    def test_trace_bounds_need_an_output(self, program_file, capsys, flags):
+        code = main(["run", str(program_file), "go(8, Sum)", "-P", "2",
+                     *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "need --trace-out or --gantt" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("limit", ["0", "-2"])
+    def test_trace_limit_must_be_positive(self, program_file, tmp_path,
+                                          capsys, limit):
+        code = main(["run", str(program_file), "go(8, Sum)", "--trace-ring",
+                     "--trace-out", str(tmp_path / "run.jsonl"),
+                     "--trace-limit", limit])
+        assert code == 2
+        assert "--trace-limit must be at least 1" in capsys.readouterr().err
+
 
 class TestTraceCommand:
     @pytest.fixture
