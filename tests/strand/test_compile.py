@@ -159,6 +159,18 @@ def check_selection(proc, goal):
 # structures sharing a small vocabulary so collisions are common.
 _ATOMS = [Atom("a"), Atom("b"), Atom("c"), NIL]
 
+#: Ground list prefixes at least ``codegen._RUN`` (4) elements long: a list
+#: pattern with one of them before a variable element matches the whole
+#: run with one ``_mr`` (``compile._match_run``) call.
+_GROUND_RUNS = [(0, 1, 2, 3), (0, 1, 2, 3, 4), (0, 1, 2, Atom("a"))]
+
+
+def _run_lists(tail):
+    """``[g1, …, gk, E | T]``: a drawn ground run, a fresh variable ``E``
+    and a drawn tail."""
+    return st.builds(lambda run, tail: make_list([*run, Var()], tail),
+                     st.sampled_from(_GROUND_RUNS), tail)
+
 
 def _patterns(depth):
     leaf = st.one_of(
@@ -177,6 +189,7 @@ def _patterns(depth):
         st.builds(lambda a, b: Struct("g", (a, b)), sub, sub),
         st.builds(Cons, sub, sub),
         st.builds(lambda a: Tup([a]), sub),
+        _run_lists(st.one_of(st.just(NIL), sub)),
     )
 
 
@@ -214,6 +227,15 @@ def _body_terms(depth):
 
 # Strategies are built once: building them per draw dominates the run time.
 _HEAD_PATTERNS = _patterns(2)
+#: Goal lists against ground-run patterns: whole runs (matching or not),
+#: runs cut short by an unbound spine, and runs holding an unbound element.
+_RUN_GOALS = st.one_of(
+    _run_lists(st.one_of(st.just(NIL), st.builds(lambda: Var()), st.just(make_list([5])))),
+    st.builds(lambda run, k: make_list(run[:k], Var()),
+              st.sampled_from(_GROUND_RUNS), st.integers(0, 5)),
+    st.builds(lambda run, k: make_list([*run[:k], Var(), *run[k + 1:], 7]),
+              st.sampled_from(_GROUND_RUNS), st.integers(0, 3)),
+)
 _BODIES = st.lists(
     st.builds(lambda a, b: Struct("q", (a, b)), _body_terms(2), _body_terms(2)),
     max_size=3,
@@ -248,6 +270,7 @@ def _goals(draw):
     first = draw(st.one_of(
         _HEAD_PATTERNS,
         st.builds(lambda: PortRef(Var(), owner=1)),
+        _RUN_GOALS,
     ))
     second = draw(st.one_of(
         st.integers(min_value=0, max_value=4),

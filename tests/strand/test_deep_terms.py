@@ -30,6 +30,9 @@ from tests.strand.matchers import COMPILED, ORACLE
 from tests.strand.reference_match import MatchResult
 
 DEEP = 100_000
+#: Length of the ground run before a variable in a ``[1, …, RUN, X | T]``
+#: pattern, which selection matches with one ``_mr`` call.
+RUN = 5_000
 
 
 def deep_list(n: int = DEEP, tail=NIL) -> Cons:
@@ -101,9 +104,33 @@ class _DeepMatchCases:
         assert result.status == MatchResult.SUSPENDED
         assert deref(result.blocked[0]) is hole
 
+    def test_match_head_long_ground_run(self):
+        x, t = Var("X"), Var("T")
+        head = Struct("p", (deep_list(RUN, tail=Cons(x, t)),))
+        result = self.matcher.match(head, Struct("p", (deep_list(RUN + 2),)))
+        assert result.status == MatchResult.MATCHED
+        assert result.env[id(x)] == RUN + 1
+        assert to_python(result.env[id(t)]) == [RUN + 2]
+
+        for call in (deep_list(RUN), deep_list(RUN - 1, tail=Cons(0, Var()))):
+            result = self.matcher.match(head, Struct("p", (call,)))
+            assert result.status == MatchResult.FAILED
+
+        for length in (RUN // 2, RUN):
+            hole = Var("Hole")
+            call = deep_list(length, tail=hole)
+            result = self.matcher.match(head, Struct("p", (call,)))
+            assert result.status == MatchResult.SUSPENDED
+            assert [deref(v) for v in result.blocked] == [hole]
+
 
 class TestDeepMatch(_DeepMatchCases):
     matcher = COMPILED
+
+    def test_long_ground_run_is_one_match_run_call(self):
+        head = Struct("p", (deep_list(RUN, tail=Cons(Var("X"), Var("T"))),))
+        program = compile_program(Program([Rule(head)]))
+        assert "_mr(" in program.procedure(head.indicator).source
 
     def test_select_nonlinear_deep(self):
         x = Var("X")
