@@ -17,8 +17,10 @@ instrumentation modes:
 Because the machine is a *virtual-time* simulator, instrumentation must
 never change the computed answer, the schedule, or the makespan — the
 bench asserts all three are identical across modes.  Timing uses CPU
-time (``process_time``), min-of-N, to suppress scheduler noise, with the
-modes run in turn so that a drift of the host's speed reaches all of them.
+time (``process_time``).  The modes run in turn, one round after another,
+and a mode's overhead is the median over rounds of its run's time divided
+by the ``off`` run of the same round: a drift of the host's speed reaches
+both sides of each ratio, and one slow run moves the median little.
 
 When the pre-PR baseline commit is reachable (``PRE_PR_REF``), the same
 workload is also timed against a detached worktree of the engine *before*
@@ -138,9 +140,10 @@ def _run_once(leaves: int, mode: str, sink_path: Path | None = None):
 
 
 def measure(leaves: int, repeats: int) -> list[dict]:
-    """min-of-N CPU time per mode, plus determinism fingerprints.  The
-    modes take turns (off, ring, full, …, off, ring, …), so a drift of the
-    host's speed during the bench reaches every mode alike."""
+    """min-of-N CPU time per mode, its overhead against ``off`` (the median
+    of per-round ratios), and determinism fingerprints.  The modes take
+    turns (off, ring, full, …, off, ring, …), so every run has an ``off``
+    run of its own round."""
     walls: dict[str, list[float]] = {mode: [] for mode in MODES}
     facts = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -152,9 +155,11 @@ def measure(leaves: int, repeats: int) -> list[dict]:
     rows = []
     for mode in MODES:
         wall, fact = min(walls[mode]), facts[mode]
+        ratios = [t / off for t, off in zip(walls[mode], walls["off"])]
         rows.append({
             "mode": mode,
             "min_wall_s": round(wall, 6),
+            "overhead_vs_off": round(statistics.median(ratios), 3),
             "reductions": fact["reductions"],
             "reductions_per_s": round(fact["reductions"] / wall),
             "events": fact["events"],
@@ -239,8 +244,6 @@ def run_bench(config) -> dict:
 
     rows = measure(leaves, repeats)
     off = rows[0]
-    for row in rows:
-        row["overhead_vs_off"] = round(row["min_wall_s"] / off["min_wall_s"], 3)
 
     baseline = pre_pr_baseline(leaves, repeats, config["baseline_rounds"])
 
@@ -248,7 +251,8 @@ def run_bench(config) -> dict:
         "benchmark": "observability",
         "workload": (
             f"tree-reduce (TR1), {leaves} leaves, P={PROCESSORS}, "
-            f"seed={SEED}, min of {repeats} runs (CPU time)"
+            f"seed={SEED}, {repeats} rounds (CPU time: min per mode, "
+            f"median per-round ratio to off)"
         ),
         "budgets": {
             "off_vs_pre_pr": OFF_BUDGET,
