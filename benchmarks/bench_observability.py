@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -104,9 +105,11 @@ print(json.dumps({'min_wall_s': min(walls), 'value': result.value}))
 
 
 def _run_once(leaves: int, mode: str, sink_path: Path | None = None):
-    """One timed run; returns its CPU seconds and determinism fingerprints.
-    Only these small values outlive the run, so no trace of one mode stays
-    on the heap while the next mode runs."""
+    """One timed run; returns its CPU seconds, their ``(user, system)``
+    split and determinism fingerprints.  Only these small values outlive
+    the run, so no trace of one mode stays on the heap while the next mode
+    runs.  The split comes from ``getrusage``: ``os.times`` counts in 10 ms
+    ticks, a third of a smoke run."""
     tree = arithmetic_tree(leaves, seed=3)
     machine = Machine(PROCESSORS, seed=SEED)
     profile = None
@@ -122,15 +125,18 @@ def _run_once(leaves: int, mode: str, sink_path: Path | None = None):
     if mode == "sink":
         sink = TraceSink.open(sink_path, processors=PROCESSORS)
         machine.trace.attach_sink(sink)
+    before = resource.getrusage(resource.RUSAGE_SELF)
     start = process_time()
     result = reduce_tree(
         tree, eval_arith_node, machine=machine, strategy="tr1",
         profile=profile,
     )
     wall = process_time() - start
+    after = resource.getrusage(resource.RUSAGE_SELF)
     if sink is not None:
         sink.close()
-    return wall, {
+    split = (after.ru_utime - before.ru_utime, after.ru_stime - before.ru_stime)
+    return wall, split, {
         "reductions": result.metrics.reductions,
         "events": len(machine.trace),
         "events_dropped": machine.trace.dropped,
@@ -141,17 +147,20 @@ def _run_once(leaves: int, mode: str, sink_path: Path | None = None):
 
 def measure(leaves: int, repeats: int) -> list[dict]:
     """min-of-N CPU time per mode, its overhead against ``off`` (the median
-    of per-round ratios), and determinism fingerprints.  The modes take
+    of per-round ratios, which are listed too), the user/system split of
+    each run's CPU time, and determinism fingerprints.  The modes take
     turns (off, ring, full, …, off, ring, …), so every run has an ``off``
     run of its own round."""
     walls: dict[str, list[float]] = {mode: [] for mode in MODES}
+    splits: dict[str, list[tuple]] = {mode: [] for mode in MODES}
     facts = {}
     with tempfile.TemporaryDirectory() as tmp:
         sink_path = Path(tmp) / "trace.jsonl"
         for _ in range(repeats):
             for mode in MODES:
-                wall, facts[mode] = _run_once(leaves, mode, sink_path)
+                wall, split, facts[mode] = _run_once(leaves, mode, sink_path)
                 walls[mode].append(wall)
+                splits[mode].append(split)
     rows = []
     for mode in MODES:
         wall, fact = min(walls[mode]), facts[mode]
@@ -160,6 +169,9 @@ def measure(leaves: int, repeats: int) -> list[dict]:
             "mode": mode,
             "min_wall_s": round(wall, 6),
             "overhead_vs_off": round(statistics.median(ratios), 3),
+            "round_ratios": [round(r, 3) for r in ratios],
+            "user_s": [round(user, 4) for user, _ in splits[mode]],
+            "system_s": [round(system, 4) for _, system in splits[mode]],
             "reductions": fact["reductions"],
             "reductions_per_s": round(fact["reductions"] / wall),
             "events": fact["events"],
@@ -279,7 +291,10 @@ def run_bench(config) -> dict:
     for row in rows[1:]:
         assert row["overhead_vs_off"] <= TRACED_BUDGET, (
             f"{row['mode']} overhead {row['overhead_vs_off']}x exceeds "
-            f"budget {TRACED_BUDGET}x"
+            f"budget {TRACED_BUDGET}x; per-round ratios "
+            f"{row['round_ratios']}; CPU s per run, user/system: "
+            f"{row['mode']} {row['user_s']}/{row['system_s']}, "
+            f"off {off['user_s']}/{off['system_s']}"
         )
     if baseline.get("available"):
         assert baseline["value"] == off["value"]

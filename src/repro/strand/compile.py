@@ -17,7 +17,13 @@ is compiled eagerly by :func:`compile_program` and registered in
 :mod:`linecache` under ``<this file>:name/arity#hash`` (a hash of the
 text), so that tracebacks show it and profiles charge it to this module;
 it is kept as :attr:`CompiledProcedure.source`, the function as
-:attr:`CompiledProcedure.choose`.
+:attr:`CompiledProcedure.choose`.  :meth:`CompiledProcedure.select`, the
+entry point the reducer calls, is a thin call of it.
+
+A goal that cannot commit yet is Strand's normal dataflow path, so it is
+reported by return, not by an exception: selection returns ``None`` and
+leaves the variables the goal waits on in ``blocked``.  ``None`` with an
+empty ``blocked`` is definite failure.
 
 With :mod:`repro.strand.codegen`, this module is the runtime's one
 matcher: the two own the rule semantics (head matching, guards, the
@@ -59,7 +65,7 @@ import linecache
 import zlib
 from typing import Any, Callable
 
-from repro.strand.arith import ArithFail, Suspend, _eval
+from repro.strand.arith import ArithFail, _eval
 from repro.strand.codegen import OPERATORS, ProcedureWriter
 from repro.strand.program import Procedure, Program, Rule
 from repro.strand.terms import (
@@ -253,15 +259,14 @@ class CompiledProcedure:
     def indicator(self) -> tuple[str, int]:
         return (self.name, self.arity)
 
-    def select(self, goal_args: tuple) -> tuple[CompiledRule, tuple] | None:
+    def select(self, goal_args: tuple, blocked: list) -> tuple[CompiledRule, tuple] | None:
         """Committed choice: the first textually-matching rule and its
-        instantiated body goals.  Raises :class:`Suspend` when no rule
-        matches yet but some could; returns ``None`` on definite failure."""
-        blocked: list = []
-        selected = self.choose(goal_args, blocked)
-        if selected is None and blocked:
-            raise Suspend(blocked)
-        return selected
+        instantiated body goals, or ``None`` when no rule matches.  The
+        variables a rule-by-rule scan would wait on are appended to
+        ``blocked`` in the order it meets them; after ``None``, a non-empty
+        ``blocked`` means the goal suspends and an empty one means definite
+        failure."""
+        return self.choose(goal_args, blocked)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CompiledProcedure {self.name}/{self.arity} {len(self.rules)} rules>"

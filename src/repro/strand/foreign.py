@@ -129,15 +129,18 @@ class ForeignProcedure:
 
     ``inputs``/``outputs`` are argument positions (0-based).  ``cost`` is a
     number, or a callable over the converted input values returning the
-    virtual time charged for the call (default 1.0).
+    virtual time charged for the call (default 1.0).  The procedure is
+    called once every input is ground; until then the reducer suspends
+    the goal on the unbound input variables by return, with no exception.
 
     With ``raw=True`` the procedure follows the builtin contract instead:
     ``fn(engine, process, args, now) -> cost`` receives the goal's
     unconverted argument terms, binds and spawns through ``engine`` itself,
-    raises :class:`~repro.strand.arith.Suspend` to wait on variables, and
-    returns the virtual cost to charge.  Motifs ship their runtime
-    primitives this way (see ``motifs/reliable.py``).  The engine takes its
-    table of raw procedures when it is constructed.
+    raises :class:`~repro.strand.arith.Suspend` to wait on variables (which
+    ``Reducer.execute`` catches), and returns the virtual cost to charge.
+    Motifs ship their runtime primitives this way (see
+    ``motifs/reliable.py``).  The engine takes its table of raw procedures
+    when it is constructed.
     """
 
     name: str

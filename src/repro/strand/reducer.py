@@ -11,6 +11,15 @@ chose, but rules whose head could neither match nor suspend on the goal are
 never tried.  It returns the committed rule's body goals already built; the
 reducer only spawns them.
 
+Waiting is Strand's normal dataflow path, so the two common routes to it
+return instead of raising: a user goal no rule can commit yet (selection
+returns ``None`` and leaves the blocking variables in its ``blocked``
+list) and a plain foreign call whose inputs are not yet ground.  Builtins,
+raw foreign procedures and arithmetic suspend deep inside argument
+evaluation and raise :class:`~repro.strand.arith.Suspend`, which
+:meth:`Reducer.execute` catches.  Every route ends in the same suspend
+bookkeeping (:meth:`Reducer._suspend`).
+
 The reducer touches scheduling only through the engine facade (spawning
 bodies, suspending on blocked variables); the :class:`Scheduler` decides
 when the resulting processes actually run.
@@ -111,9 +120,11 @@ class Reducer:
                     f"(goal: {process.describe()})"
                 )
         except Suspend as s:
-            if profile is not None:
-                profile.suspension()
-            engine.scheduler.suspend(process, s.variables, now)
+            # Builtins, raw foreign procedures and arithmetic suspend deep
+            # inside argument evaluation, so they raise.
+            self._suspend(process, s.variables, now)
+            return None
+        if cost is None:  # selection or a foreign call suspended it
             return None
         if profile is not None:
             profile.reduction(cost)
@@ -128,10 +139,22 @@ class Reducer:
                          motif=process.motif or "", dur=cost)
         return cost
 
+    def _suspend(self, process: Process, variables: list[Var], now: float) -> None:
+        """Suspend ``process`` on ``variables``: the bookkeeping every route
+        that suspends a reduction attempt shares."""
+        engine = self.engine
+        if engine.profile is not None:
+            engine.profile.suspension()
+        engine.scheduler.suspend(process, variables, now)
+
     def _reduce_user(self, process: Process, goal: Struct, procedure,
-                     now: float) -> float:
-        selected = procedure.select(goal.args)  # raises Suspend when blocked
+                     now: float) -> float | None:
+        blocked: list[Var] = []
+        selected = procedure.select(goal.args, blocked)
         if selected is None:
+            if blocked:
+                self._suspend(process, blocked, now)
+                return None
             from repro.strand.pretty import format_term
 
             raise ProcessFailureError(
@@ -151,7 +174,8 @@ class Reducer:
         self.engine.spawn_body(goals, process, now + REDUCTION_COST)
         return REDUCTION_COST
 
-    def _call_foreign(self, fp, process: Process, goal: Struct, now: float) -> float:
+    def _call_foreign(self, fp, process: Process, goal: Struct,
+                      now: float) -> float | None:
         engine = self.engine
         blocked: list[Var] = []
         values: list[Any] = []
@@ -161,7 +185,8 @@ class Reducer:
             except NotGround as ng:
                 blocked.append(ng.variable)
         if blocked:
-            raise Suspend(blocked)
+            self._suspend(process, blocked, now)
+            return None
         cost = fp.cost_for(values)
         result = fp.fn(*values)
         outputs = fp.outputs

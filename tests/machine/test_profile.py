@@ -7,6 +7,8 @@ from repro.apps.arithmetic import eval_arith_node, paper_example_tree
 from repro.core.api import reduce_tree
 from repro.machine import Machine, MotifProfile
 from repro.machine.profile import USER_TAG
+from repro.strand import parse_program, run_query
+from repro.strand.foreign import ForeignRegistry
 
 
 class TestBuckets:
@@ -78,6 +80,40 @@ class TestAttribution:
                             machine=Machine(4, seed=0), strategy="tr1")
         assert profiled.value == plain.value
         assert profiled.metrics.makespan == plain.metrics.makespan
+
+
+def _doubling() -> ForeignRegistry:
+    foreign = ForeignRegistry()
+    foreign.register("double", 2, lambda x: 2 * x)
+    return foreign
+
+
+class TestSuspensionRoutes:
+    """A goal suspends by rule selection (a user rule), by a plain foreign
+    call or inside a builtin.  On every route the machine and the profile
+    count it once, under the suspending goal's predicate."""
+
+    PROGRAM = """
+        total([X | Xs], A, S) :- A1 := A + X, total(Xs, A1, S).
+        total([], A, S) :- S := A.
+        late(V, Out) :- Out := V.
+    """
+
+    @pytest.mark.parametrize("query, foreign, predicate, answer", [
+        ("total(Xs, 0, S), late([1, 2], Xs)", None, "total/3", ("S", 3)),
+        ("double(Y, Z), late(4, Y)", _doubling, "double/2", ("Z", 8)),
+        ("X := Y + 1, late(2, Y)", None, ":=/2", ("X", 3)),
+    ], ids=["user-rule", "foreign", "builtin"])
+    def test_suspensions_are_counted_once(self, query, foreign, predicate, answer):
+        profile = MotifProfile()
+        result = run_query(parse_program(self.PROGRAM), query,
+                           machine=Machine(1, seed=0),
+                           foreign=foreign() if foreign else None,
+                           profile=profile)
+        assert result[answer[0]] == answer[1]
+        suspended = {key: row[1] for key, row in profile.rows.items() if row[1]}
+        assert set(suspended) == {(USER_TAG, predicate)}
+        assert sum(suspended.values()) == result.metrics.suspensions >= 1
 
 
 class TestRendering:

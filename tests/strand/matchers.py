@@ -12,7 +12,6 @@ variables and a body goal listing the term's other (fresh) variables.
 test case states one expectation and holds both to it.
 """
 
-from repro.strand.arith import Suspend
 from repro.strand.compile import CompiledProcedure
 from repro.strand.program import Procedure, Rule
 from repro.strand.terms import Struct, Var, deref, term_vars
@@ -24,11 +23,11 @@ from tests.strand.reference_match import (
 )
 
 
-def _select(rule: Rule, goal_args: tuple):
+def _select(rule: Rule, goal_args: tuple, blocked: list):
     """``CompiledProcedure.select`` over the one-rule procedure ``rule``."""
     proc = Procedure(*rule.indicator)
     proc.add(rule)
-    return CompiledProcedure(proc).select(goal_args)
+    return CompiledProcedure(proc).select(goal_args, blocked)
 
 
 class CompiledMatcher:
@@ -40,11 +39,11 @@ class CompiledMatcher:
         """Head match, then guards: the runtime's committed-choice test."""
         rule_vars = term_vars(Struct("vars", (rule.head, *rule.guards)))
         probe = Rule(rule.head, rule.guards, [Struct("env", tuple(rule_vars))])
-        try:
-            selected = _select(probe, goal.args)
-        except Suspend as s:
-            return MatchResult(MatchResult.SUSPENDED, blocked=list(s.variables))
+        blocked: list = []
+        selected = _select(probe, goal.args, blocked)
         if selected is None:
+            if blocked:
+                return MatchResult(MatchResult.SUSPENDED, blocked=blocked)
             return MatchResult(MatchResult.FAILED)
         values = selected[1][0].args
         return MatchResult(MatchResult.MATCHED,
@@ -53,10 +52,7 @@ class CompiledMatcher:
     def body(self, rule, goal) -> list | None:
         """The committed rule's body goals, or ``None`` when it does not
         commit."""
-        try:
-            selected = _select(rule, goal.args)
-        except Suspend:
-            return None
+        selected = _select(rule, goal.args, [])
         return None if selected is None else list(selected[1])
 
     def first_commit(self, rules, goal):
@@ -72,11 +68,11 @@ class CompiledMatcher:
         proc = Procedure(*goal.indicator)
         for rule in rules:
             proc.add(rule)
-        try:
-            selected = CompiledProcedure(proc).select(goal.args)
-        except Suspend as s:
-            return ("suspend", distinct(s.variables))
-        return ("fail",) if selected is None else ("commit", selected[0].order)
+        blocked: list = []
+        selected = CompiledProcedure(proc).select(goal.args, blocked)
+        if selected is not None:
+            return ("commit", selected[0].order)
+        return ("suspend", distinct(blocked)) if blocked else ("fail",)
 
     def instantiate(self, term, env, fresh):
         known = {**env, **fresh}
@@ -84,7 +80,7 @@ class CompiledMatcher:
         bound = [v for v in term_vars_ if id(v) in known]
         new = [v for v in term_vars_ if id(v) not in known]
         rule = Rule(Struct("inst", tuple(bound)), [], [term, Struct("fresh", tuple(new))])
-        instance, images = _select(rule, tuple(known[id(v)] for v in bound))[1]
+        instance, images = _select(rule, tuple(known[id(v)] for v in bound), [])[1]
         for var, image in zip(new, images.args):
             fresh[id(var)] = env[id(var)] = image
         return instance

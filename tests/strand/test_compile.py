@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.complexity import measure
 from repro.strand import parse_program, parse_rule, parse_term, run_query
-from repro.strand.arith import Suspend
 from repro.strand.compile import CompiledProcedure, compile_program
 from repro.strand.pretty import format_term
 from repro.strand.program import Procedure, Rule
@@ -100,7 +99,7 @@ def reference_body(rule, goal):
 
 
 def compiled_body(compiled: CompiledProcedure, goal):
-    crule, goals = compiled.select(goal.args)
+    crule, goals = compiled.select(goal.args, [])
     return list(goals)
 
 
@@ -136,13 +135,11 @@ def is_variant(a, b) -> bool:
 
 
 def compiled_select(compiled: CompiledProcedure, goal):
-    try:
-        selected = compiled.select(goal.args)
-    except Suspend as s:
-        return _suspension(s.variables, goal)
-    if selected is None:
-        return ("fail",)
-    return ("commit", selected[0].order)
+    blocked: list = []
+    selected = compiled.select(goal.args, blocked)
+    if selected is not None:
+        return ("commit", selected[0].order)
+    return _suspension(blocked, goal) if blocked else ("fail",)
 
 
 def check_selection(proc, goal):
@@ -479,7 +476,7 @@ class TestIndexedEquivalence:
         compiled = CompiledProcedure(proc)
         assert compiled.source.count("return r1,") == 1
         for first, order in [(Atom("a"), 0), (Atom("b"), 1), (Atom("zzz"), 1), (Var(), 1)]:
-            assert compiled.select((first,))[0].order == order
+            assert compiled.select((first,), [])[0].order == order
 
     def test_many_atomic_keys_are_found_by_one_lookup(self):
         # Past a handful of atomic keys the switch looks the key up in a

@@ -11,7 +11,6 @@ the compiled path the runtime uses (rule selection and body builders); their
 
 import pytest
 
-from repro.strand.arith import Suspend
 from repro.strand.compile import compile_program
 from repro.strand.foreign import to_python
 from repro.strand.program import Program, Rule, rule_key
@@ -42,10 +41,11 @@ def deep_list(n: int = DEEP, tail=NIL) -> Cons:
     return term
 
 
-def compiled_select(head: Struct, goal_args: tuple):
-    """Select among the one-rule procedure ``head.`` as the runtime does."""
+def compiled_select(head: Struct, goal_args: tuple, blocked: list):
+    """Select among the one-rule procedure ``head.`` as the runtime does;
+    the variables it waits on are appended to ``blocked``."""
     program = compile_program(Program([Rule(head)]))
-    return program.procedure(head.indicator).select(goal_args)
+    return program.procedure(head.indicator).select(goal_args, blocked)
 
 
 class TestDeepRename:
@@ -134,20 +134,22 @@ class TestDeepMatch(_DeepMatchCases):
 
     def test_select_nonlinear_deep(self):
         x = Var("X")
-        assert compiled_select(Struct("p", (x, x)), (deep_list(), deep_list()))
+        assert compiled_select(Struct("p", (x, x)), (deep_list(), deep_list()), [])
 
     def test_select_deep_mismatch(self):
         pattern_list = deep_list(DEEP, tail=Cons(Struct("end", (1,)), NIL))
         call_list = deep_list(DEEP, tail=Cons(Struct("end", (2,)), NIL))
-        assert compiled_select(Struct("p", (pattern_list,)), (call_list,)) is None
+        blocked = []
+        assert compiled_select(Struct("p", (pattern_list,)), (call_list,), blocked) is None
+        assert blocked == []
 
     def test_select_deep_suspend(self):
         hole = Var("Hole")
         call_list = deep_list(DEEP, tail=Cons(hole, NIL))
         pattern = deep_list(DEEP, tail=Cons(Struct("end", ()), NIL))
-        with pytest.raises(Suspend) as info:
-            compiled_select(Struct("p", (pattern,)), (call_list,))
-        assert deref(info.value.variables[0]) is hole
+        blocked = []
+        assert compiled_select(Struct("p", (pattern,)), (call_list,), blocked) is None
+        assert deref(blocked[0]) is hole
 
 
 class TestDeepMatchOracle(_DeepMatchCases):
