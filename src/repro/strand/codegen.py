@@ -15,9 +15,7 @@ more than once).  The code has three levels:
   there has one principal functor (and whose other head arguments are
   plain first-occurrence variables) is entered by one test of that
   functor, which unpacks the pattern's children once for the run; runs of
-  distinct functors form one ``if``/``elif`` chain (when it has
-  :data:`_TABLE` or more atomic keys, one table lookup and a binary search
-  find theirs).  Every other rule (a
+  distinct functors form one ``if``/``elif`` chain.  Every other rule (a
   variable at the switch argument, or other head arguments to test) sits
   between the chains, once, and every goal reaches it.  An unbound switch
   argument blocks the chained rules, so it is appended once, where the
@@ -26,11 +24,6 @@ more than once).  The code has three levels:
   match the head once, with its variables as Python locals, then try
   their guards in turn;
 * **rules.**  Each rule of a group tests its guards and builds its body.
-  An arithmetic operand that the comparison guards of several rules of a
-  group share is computed once, by the first of them, whose first guard
-  it must open: it is never computed earlier than that rule would compute
-  it.  Later rules reuse its value, or its ``ArithFail``, and append its
-  blocking variables where they would have evaluated it.
 
 A block of code that can fail or block leaves by ``return`` when nothing
 follows it in the function, and otherwise sits in a ``while True:`` that it
@@ -60,9 +53,9 @@ Besides :data:`OPERATORS`, ``Var``, ``Struct``, ``Tup``, ``Cons``, ``Atom``,
 ``NIL``, ``ArithFail``, the rules ``r<order>`` and the constants the writer
 names (through its ``const`` callback), the code calls the runtime helpers
 the compile layer binds: ``_U`` (the unbound marker), ``_S`` (a skipped
-subpattern), ``_F`` (a shared operand that raised ``ArithFail``), ``_mv``
-(``_match_values``), ``_mr`` (``_match_run``), ``_pre`` (``_prepend``),
-``_ge`` (``terms._ground_equal``) and ``_ev`` (``arith._eval``).
+subpattern), ``_mv`` (``_match_values``), ``_mr`` (``_match_run``),
+``_pre`` (``_prepend``), ``_ge`` (``terms._ground_equal``) and ``_ev``
+(``arith._eval``).
 
 The writer walks terms with explicit stacks, never by recursion, and the
 code it writes never nests per list element or pattern level: long list
@@ -125,10 +118,6 @@ _DEREF = "while type({0}) is Var and {0}.ref is not _U: {0} = {0}.ref"
 #: The exit of a block that fails or blocks, until :func:`_place` puts it.
 _EXIT = "\x00"
 
-#: Fewest runs with atomic keys in one switch chain that are found by one
-#: table lookup and a binary search instead of one test each.
-_TABLE = 8
-
 #: Statements that cannot follow a block header on its line.
 _COMPOUND = ("if ", "elif ", "else", "while ", "try", "except", "def ")
 
@@ -176,12 +165,10 @@ def _render(code: list) -> str:
     return "".join(text)
 
 
-def _shape(term: Term, numbering: dict[int, int], arith: bool = False) -> tuple | None:
+def _shape(term: Term, numbering: dict[int, int]) -> tuple:
     """A flat, hashable pre-order key of ``term`` with its variables
     numbered by first occurrence in ``numbering`` (which grows): two heads
-    get equal keys exactly when they are equal up to renaming.  With
-    ``arith``, ``None`` unless ``term`` is an arithmetic expression over
-    numbers and variables ``numbering`` already has."""
+    get equal keys exactly when they are equal up to renaming."""
     out: list = []
     stack = [term]
     while stack:
@@ -190,17 +177,11 @@ def _shape(term: Term, numbering: dict[int, int], arith: bool = False) -> tuple 
         if tt is Var:
             n = numbering.get(id(t))
             if n is None:
-                if arith:
-                    return None
                 n = numbering[id(t)] = len(numbering)
             out.append(n)
         elif tt is Struct:
-            if arith and (t.functor, len(t.args)) not in ARITH_FUNCTORS:
-                return None
             out.append(("f", t.functor, len(t.args)))
             stack.extend(reversed(t.args))
-        elif arith and not (tt is int or tt is float):
-            return None
         elif tt is Tup:
             out.append(("t", len(t.args)))
             stack.extend(reversed(t.args))
@@ -351,36 +332,12 @@ class ProcedureWriter:
                 code.append((1, f"if type({switch}) is Var: blocked.append({switch})"
                                 + ("" if rest else "; return")))
                 branch = "elif"
-            runs = [(heads[run[0].orders[0]][k], run) for _, run in segment]
-            # The runs of a chain exclude each other, so their order is free:
-            # many atomic keys are found by one table lookup.
-            table = [(pattern, run) for pattern, run in runs if _key(pattern)[0] in ("n", "k")]
-            if len(table) < _TABLE:
-                table = []
-            for pattern, run in runs:
-                if not any(run is other for _, other in table):
-                    code.append((1, f"{branch} {self.key_test(pattern, switch)}:"))
-                    code += _shift(self.run(run, k, pattern, switch, derefed, at_end), 2)
-                    branch = "elif"
-            if table:
-                n = self.temp()
-                index = self.const({pattern: j for j, (pattern, _) in enumerate(table)})
-                code += [(1, f"{branch} type({switch}) in _AT:"),
-                         (2, f"{n} = {index}.get({switch})"), (2, f"if {n} is None: pass")]
-                code += self.search(table, 0, len(table), n, k, switch, derefed, at_end, 2)
+            for _, run in segment:
+                pattern = heads[run[0].orders[0]][k]
+                code.append((1, f"{branch} {self.key_test(pattern, switch)}:"))
+                code += _shift(self.run(run, k, pattern, switch, derefed, at_end), 2)
+                branch = "elif"
         return _render(code)
-
-    def search(self, table: list, lo: int, hi: int, n: str, k: int, switch: str,
-               derefed: set, at_end: bool, indent: int, branch: str = "elif") -> list:
-        """A binary search over the table's runs by their index ``n``."""
-        if hi - lo == 1:
-            pattern, run = table[lo]
-            return _shift(self.run(run, k, pattern, switch, derefed, at_end), indent)
-        mid = (lo + hi) // 2
-        return [(indent, f"{branch} {n} < {mid}:"),
-                *self.search(table, lo, mid, n, k, switch, derefed, at_end, indent + 1, "if"),
-                (indent, "else:"),
-                *self.search(table, mid, hi, n, k, switch, derefed, at_end, indent + 1, "if")]
 
     def switch_key(self, head: list[Term], k: int) -> tuple | None:
         """The key of a chained rule; ``None`` when the rule is not chained:
@@ -436,20 +393,6 @@ class ProcedureWriter:
         return code
 
 
-class _SharedOperand:
-    """An arithmetic operand several rules of a group compare: computed
-    once, into ``value`` (``_F`` when it raised ``ArithFail``), with its
-    blocking variables in the list ``blocked`` (``None`` when it has no
-    variables)."""
-
-    def __init__(self, term: Term, first: int, last: int):
-        self.term = term
-        self.first = first
-        self.last = last
-        self.value: str | None = None
-        self.blocked: str | None = None
-
-
 class _GroupWriter:
     """Writes one group's code: the head match, then each rule's guards
     and body build, with the group's variables as Python locals.  Code is
@@ -468,7 +411,6 @@ class _GroupWriter:
         self.names: dict[int, str] = {}
         self.blocks = False  # some emitted test can append to ``rb``
         self.raises = False  # some emitted guard code can raise ArithFail
-        self.rb = "rb"
         self.head_args = [deref(a) for a in self.rules[0].head.args]
         self.ground, occurrences = _head_scan(self.head_args)
         self.count: dict[int, int] = {}
@@ -491,8 +433,6 @@ class _GroupWriter:
         for rule, alias in zip(self.rules, self.alias):
             for term in (*rule.guards, *rule.body):
                 self.used.update(id(alias[id(v)]) for v in term_vars(term) if id(v) in alias)
-        self.shared = self.shared_operands()
-        self.numbering = group.numberings[0]  # the current rule's
 
     # -- small helpers -----------------------------------------------------
     def emit(self, indent: int, line: str) -> None:
@@ -554,47 +494,9 @@ class _GroupWriter:
         for i, rule in enumerate(self.rules):
             self.names = {vid: head_names[id(v)] for vid, v in self.alias[i].items()
                           if id(v) in head_names}
-            self.numbering = self.group.numberings[i]
-            for operand in self.shared.values():
-                if operand.first == i:
-                    code += self.compute(operand)
             section = self.rule(i, rule, reuse_rb=i == 0 and head_blocks)
             code += section if i == last else _place(section, False)
         return _place(code, at_end)
-
-    def shared_operands(self) -> dict[tuple, _SharedOperand]:
-        """The compound arithmetic operands of comparison guards that
-        several rules of the group share, keyed by shape, each with the
-        first rule that evaluates it; only an operand that opens that
-        rule's first guard qualifies."""
-        uses: dict[tuple, list] = {}
-        for i, (rule, numbering) in enumerate(zip(self.rules, self.group.numberings)):
-            for p, guard in enumerate(rule.guards):
-                guard = deref(guard)
-                if not (type(guard) is Struct and len(guard.args) == 2
-                        and guard.functor in _COMPARISON_OPS):
-                    continue
-                for side, operand in enumerate(guard.args):
-                    operand = deref(operand)
-                    if type(operand) is Struct:
-                        shape = _shape(operand, numbering, arith=True)
-                        if shape is not None:
-                            uses.setdefault(shape, []).append((i, p, side, operand))
-        return {
-            shape: _SharedOperand(where[0][3], where[0][0], where[-1][0])
-            for shape, where in uses.items()
-            if where[0][1:3] == (0, 0) and len({i for i, *_ in where}) > 1
-        }
-
-    def compute(self, operand: _SharedOperand) -> list:
-        """Compute a shared operand, as the first rule that reads it would."""
-        blocked = self.temp()
-        self.lines, self.rb = [], blocked
-        value, none = self.arith(operand.term, 1)
-        lines, self.rb = self.lines, "rb"
-        operand.value, operand.blocked = value, blocked if none else None
-        start = [(0, f"{blocked} = []")] if none else []
-        return [*start, (0, "try:"), *lines, (0, f"except ArithFail: {value} = _F")]
 
     def rule(self, i: int, rule: Rule, reuse_rb: bool) -> list:
         """One rule's guards and body build; its exits go to the next rule."""
@@ -608,13 +510,7 @@ class _GroupWriter:
                 failed = True
                 break
         checks = self.lines
-        code = []
-        if self.blocks and not reuse_rb:
-            opening = self.opening(i, checks)
-            if opening is None:
-                code.append((0, "rb = []"))
-            else:
-                checks[1] = (1, opening)
+        code = [(0, "rb = []")] if self.blocks and not reuse_rb else []
         code += [(0, f"{self.local(v)} = Var({v.name!r})") for v in guard_vars.values()]
         if self.raises:
             code += [(0, "try:"), *checks, (0, f"except ArithFail: {_EXIT}")]
@@ -838,9 +734,9 @@ class _GroupWriter:
 
     def compare(self, op: str, lhs: Term, rhs: Term, d: int) -> None:
         """``lhs op rhs``: a blocked left side leaves the right one unread."""
-        left, left_none = self.operand(lhs, d)
+        left, left_none = self.arith(lhs, d)
         mark = len(self.lines)
-        right, right_none = self.operand(rhs, d)
+        right, right_none = self.arith(rhs, d)
         checks = []
         if left_none:
             if len(self.lines) > mark:
@@ -855,36 +751,11 @@ class _GroupWriter:
         checks.append(f"not ({left} {op} {right})")
         self.emit(d, f"if {' and '.join(checks)}: {_EXIT}")
 
-    def opening(self, i: int, checks: list) -> str | None:
-        """When rule ``i``'s guards open by reading a shared operand that
-        can block, its ``rb`` starts as the operand's blocking variables:
-        a copy, or the list itself for the last rule that reads it."""
-        if len(checks) < 2 or not checks[1][1].startswith("rb += "):
-            return None
-        blocked = checks[1][1][len("rb += "):]
-        shared = next(s for s in self.shared.values() if s.blocked == blocked)
-        return f"rb = {blocked}" if shared.last == i else f"rb = {blocked}[:]"
-
-    def operand(self, term: Term, d: int) -> tuple[str, bool]:
-        """A comparison operand: a shared one is read where this rule
-        would evaluate it (its ``ArithFail`` fails the rule, its blocking
-        variables are appended); any other is evaluated (:meth:`arith`)."""
-        term = deref(term)
-        if type(term) is Struct and self.shared:
-            shared = self.shared.get(_shape(term, self.numbering, arith=True))
-            if shared is not None and shared.value is not None:
-                self.emit(d, f"if {shared.value} is _F: {_EXIT}")
-                if shared.blocked:
-                    self.emit(d, f"rb += {shared.blocked}")
-                    self.blocks = True
-                return shared.value, shared.blocked is not None
-        return self.arith(term, d)
-
     def arith(self, term: Term, d: int) -> tuple[str, bool]:
         """Emit the evaluation of one arithmetic operand in ``eval_arith``'s
         order (left to right, each operator applied once both its operands
         are known); return the value's expression and whether it can be
-        ``None`` (a variable blocked and was appended to ``self.rb``)."""
+        ``None`` (a variable blocked and was appended to ``rb``)."""
         out: list[tuple[str, bool]] = []
         work: list = [(False, term)]
         while work:
@@ -910,7 +781,7 @@ class _GroupWriter:
                 v = self.temp()
                 self.emit(d, f"{v} = {self.local(t)}")
                 self.emit(d, _DEREF.format(v))
-                self.emit(d, f"if type({v}) is not int: {v} = _ev({v}, {self.rb})")
+                self.emit(d, f"if type({v}) is not int: {v} = _ev({v}, rb)")
                 self.blocks = self.raises = True
                 out.append((v, True))
             elif tt is Struct and (t.functor, len(t.args)) in ARITH_FUNCTORS:

@@ -47,13 +47,7 @@ tests what several rules share once:
   goal; an unbound switch argument is appended once, where the first
   switched rule would have appended it;
 * consecutive rules whose heads are equal up to renaming **match the head
-  once**;
-* a compound arithmetic operand that the comparison guards of several of
-  those rules share is **computed once**, by the first of them, whose
-  first guard it must open, so it is never computed earlier than that rule
-  would compute it.  Arithmetic is pure: later rules reuse its value or
-  its ``ArithFail`` and append its blocking variables where they would
-  have evaluated it.
+  once**.
 
 A procedure with nothing to switch on (arity 0, one rule, or no argument
 whose patterns differ) tries its groups in textual order.
@@ -164,16 +158,11 @@ def _prepend(heads: tuple, tail: Term) -> Term:
     return tail
 
 
-#: What a shared guard operand holds when its evaluation raised ArithFail.
-_FAILED = object()
-
-
 #: The globals of all generated code (see :mod:`repro.strand.codegen`);
 #: each procedure adds its constants.
 _HELPERS = {
     "Var": Var, "Struct": Struct, "Tup": Tup, "Cons": Cons, "Atom": Atom, "NIL": NIL,
-    "ArithFail": ArithFail, "_U": _UNBOUND, "_S": _SKIPPED, "_F": _FAILED,
-    "_AT": frozenset({Atom, int, float, str}),
+    "ArithFail": ArithFail, "_U": _UNBOUND, "_S": _SKIPPED,
     "_mv": _match_values, "_mr": _match_run, "_pre": _prepend,
     "_ge": _ground_equal, "_ev": _eval, **OPERATORS,
 }
